@@ -56,12 +56,6 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-# The gate's golden trails and checkpoint-identity comparisons are byte
-# replays; warm-started highspy solves are history-dependent (a warm basis
-# may land on a different optimal vertex), so pin the deterministic scipy
-# LP backend here and in every child process this script spawns.
-os.environ.setdefault("REPRO_LP_BACKEND", "scipy")
-
 from repro import obs  # noqa: E402
 from repro._util.atomicio import atomic_write_json  # noqa: E402
 from repro.core.krsp import solve_krsp  # noqa: E402

@@ -61,11 +61,6 @@ def _pivots_of(report: dict, kernel: str) -> int | None:
     return int(value) if value is not None else None
 
 
-def _pivot_backend(report: dict) -> str:
-    """The LP backend a bench-gate report ran on (pre-PR9 reports: scipy)."""
-    return report.get("lp_engine", {}).get("backend", "scipy")
-
-
 def render_trend(reports: list[tuple[str, dict]]) -> str:
     """The full markdown document for a set of parsed reports."""
     gate = [(n, d) for n, d in reports if d.get("schema") == "bench-gate/1"]
@@ -100,15 +95,10 @@ def render_trend(reports: list[tuple[str, dict]]) -> str:
         lines.append("")
         lines.append(
             "Simplex iterations per kernel (`lp.pivots`), comparable across "
-            "machines and releases; drift is current-vs-oldest report. The "
-            "active backend is shown per report — warm-started `highspy` "
-            "runs should sit well below cold `scipy` counts "
-            "(docs/PERFORMANCE.md \"LP engine & warm starts\")."
+            "machines and releases; drift is current-vs-oldest report."
         )
         lines.append("")
-        header = ["kernel"] + [
-            f"{name} ({_pivot_backend(d)})" for name, d in gate
-        ] + ["drift"]
+        header = ["kernel"] + [name for name, _ in gate] + ["drift"]
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
         for kernel in kernel_names:

@@ -26,7 +26,7 @@ Both return an :class:`AuxGraph` carrying the maps back to residual edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,12 +56,6 @@ class AuxGraph:
         Per-H-edge: the residual edge id, or -1 for wrap edges.
     wrap_cost:
         Per-H-edge: the cycle cost a wrap edge certifies (0 elsewhere).
-    warm:
-        Optional warm-start handle (:class:`repro.perf.auxcache.WarmHandle`)
-        attached by :class:`~repro.perf.auxcache.AuxCache` so the LP engine
-        can identify this graph's warm family and fetch the flip deltas it
-        missed. ``None`` on from-scratch builds — those always solve cold.
-        Excluded from equality/repr: it is transport, not graph content.
     """
 
     graph: DiGraph
@@ -71,7 +65,6 @@ class AuxGraph:
     n_layers: int
     orig_eid: np.ndarray
     wrap_cost: np.ndarray
-    warm: object | None = field(default=None, compare=False, repr=False)
 
     def node(self, base_vertex: int, cost_level: int) -> int:
         """H node id for ``base_vertex`` at accumulated cost ``cost_level``."""

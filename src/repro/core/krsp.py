@@ -304,9 +304,10 @@ def _solve_krsp_impl(
                 # bound and is cheap next to one auxiliary-graph solve; the
                 # tighter the bound, the earlier the bicameral sweep can stop
                 # (rate tests certify sooner). Combine it with whatever
-                # phase 1 learned.
+                # phase 1 learned. The lp_rounding provider already solved
+                # this exact LP; reuse its answer.
                 lower_bound = p1.cost_lower_bound
-                lp = solve_flow_lp(
+                lp = p1.flow_lp or solve_flow_lp(
                     work_inst.graph,
                     work_inst.s,
                     work_inst.t,
@@ -329,6 +330,10 @@ def _solve_krsp_impl(
                 cap = cap_paths = None
                 if cap_res is not None:
                     cap, cap_paths = cap_res
+                if opt_cost is not None and not scaled:
+                    # Lemma 3 caps |c(O)| at C_OPT itself; the min-delay
+                    # flow's cost only bounds C_OPT from above.
+                    cap = opt_cost if cap is None else min(cap, opt_cost)
 
             if checkpoint_hook is not None:
                 # Durable prelude: everything the loop needs that the LP

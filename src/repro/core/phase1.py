@@ -42,7 +42,7 @@ from repro.flow.decompose import decompose_flow, strip_improving_cycles
 from repro.flow.mincost import min_cost_k_flow
 from repro.graph.digraph import DiGraph
 from repro.lp.basis import round_flow_score_monotone
-from repro.lp.flow_lp import solve_flow_lp
+from repro.lp.flow_lp import FlowLpResult, solve_flow_lp
 from repro.robustness.budget import checkpoint
 
 
@@ -59,11 +59,15 @@ class Phase1Result:
         LP or the Lagrangian dual). ``None`` when the provider has none.
     provider:
         Name of the provider that produced this result.
+    flow_lp:
+        The delay-budgeted flow LP's solution when the provider solved it
+        (``lp_rounding``), so the caller's lower-bound step reuses it.
     """
 
     solution: PathSet
     cost_lower_bound: Fraction | None
     provider: str
+    flow_lp: FlowLpResult | None = None
 
 
 def _paths_from_mask(inst: KRSPInstance, mask: np.ndarray) -> PathSet:
@@ -104,7 +108,9 @@ def phase1_lp_rounding(inst: KRSPInstance) -> Phase1Result:
     # C_LP as an exact-ish Fraction (float from HiGHS; round to 1e-9 grid —
     # used only as a lower-bound estimate, never for feasibility logic).
     lb = Fraction(lp.cost).limit_denominator(10**9)
-    return Phase1Result(solution=sol, cost_lower_bound=lb, provider="lp_rounding")
+    return Phase1Result(
+        solution=sol, cost_lower_bound=lb, provider="lp_rounding", flow_lp=lp
+    )
 
 
 @obs.span("phase1.lagrangian")

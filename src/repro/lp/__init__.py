@@ -1,13 +1,10 @@
-"""LP substrate: warm-started engine, delay-budgeted flow LP,
+"""LP substrate: the HiGHS engine, delay-budgeted flow LP,
 score-monotone rounding, exact MILP."""
 
 from repro.lp.engine import (
     LPEngine,
     LPResult,
-    force_backend,
     get_engine,
-    highspy_available,
-    reset_engine,
 )
 from repro.lp.flow_lp import FlowLpResult, incidence_matrix, solve_flow_lp
 from repro.lp.basis import round_flow_score_monotone
@@ -16,10 +13,7 @@ from repro.lp.milp import ExactSolution, solve_krsp_milp
 __all__ = [
     "LPEngine",
     "LPResult",
-    "force_backend",
     "get_engine",
-    "highspy_available",
-    "reset_engine",
     "FlowLpResult",
     "incidence_matrix",
     "solve_flow_lp",

@@ -115,7 +115,7 @@ def solve_flow_lp(
     x = np.clip(res.x, 0.0, 1.0)
     dual = None
     if res.ineq_marginals is not None and len(res.ineq_marginals):
-        # linprog reports <=-row marginals as nonpositive; negate to the
+        # HiGHS reports <=-row marginals as nonpositive; negate to the
         # conventional shadow price.
         dual = float(-res.ineq_marginals[0])
     return FlowLpResult(

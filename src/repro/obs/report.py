@@ -150,10 +150,7 @@ def validate_trace(trace: Trace) -> list[str]:
     7. LP-engine accounting: ``lp.pivots_unreported`` cannot exceed the
        total LP solve count (``lp.flow_lp.solves + lp.ratio_lp.solves +
        lp.lp6.solves``) — each solve reports its pivots at most once, to
-       exactly one of the two pivot counters — and the per-backend totals
-       balance: ``lp.warm_start.hit + lp.warm_start.miss ==
-       lp.backend.highspy.solves`` (warm accounting exists only on the
-       highspy path, one hit-or-miss per solve).
+       exactly one of the two pivot counters.
     """
     problems: list[str] = []
     if not trace.header:
@@ -259,15 +256,6 @@ def validate_trace(trace: Trace) -> list[str]:
             f"total LP solves ({lp_solves}) — a solve can fail to report "
             "its pivot count at most once"
         )
-    if "lp.warm_start.hit" in c or "lp.warm_start.miss" in c:
-        warm_total = c.get("lp.warm_start.hit", 0) + c.get("lp.warm_start.miss", 0)
-        highs_solves = c.get("lp.backend.highspy.solves", 0)
-        if warm_total != highs_solves:
-            problems.append(
-                f"lp.warm_start.hit + lp.warm_start.miss ({warm_total}) != "
-                f"lp.backend.highspy.solves ({highs_solves}) — every highspy "
-                "solve is exactly one warm hit or miss"
-            )
     return problems
 
 

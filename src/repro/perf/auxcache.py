@@ -50,51 +50,9 @@ from repro.core.auxgraph import (
 from repro.core.residual import ResidualGraph
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
-from repro.lp.engine import next_family_token
 
 #: Default byte budget for cached auxiliary graphs (per cache / per solve).
 DEFAULT_MAX_BYTES = 128 * 1024 * 1024
-
-
-class WarmHandle:
-    """The LP engine's view of one cached level: family identity + deltas.
-
-    Attached to every :class:`~repro.core.auxgraph.AuxGraph` the cache
-    serves (``aux.warm``). The engine keys its persistent HiGHS models by
-    ``(token(), B, sign)`` and calls :meth:`dirty_since` to fetch the
-    parity-folded edge ids a model missed since it last synced — exactly
-    the edges :meth:`AuxCache._patch` rewrote in the aux arrays, so
-    value-patching those edges' layer columns brings the model to the
-    graph the solve is about to run on. A ``None`` from
-    :meth:`dirty_since` or :meth:`layout` means the delta is not
-    expressible (flip-log gap, reweight, eviction) and the engine must
-    rebuild cold.
-    """
-
-    def __init__(self, cache: "AuxCache", B: int) -> None:
-        self._cache = cache
-        self._B = B
-
-    def token(self) -> int:
-        """Process-unique id of the owning cache (rotates on unpickle)."""
-        return self._cache.token
-
-    def version(self) -> int:
-        """Current residual version — what a solve syncs a model to."""
-        return self._cache.residual_version
-
-    def layout(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(counts, seg_starts)`` of this level, or ``None`` if evicted."""
-        entry = self._cache._entries.get(self._B)
-        if entry is None or entry.B != self._B:
-            return None
-        return entry.counts, entry.seg_starts
-
-    def dirty_since(self, version: int) -> np.ndarray | None:
-        """Edges changed in ``[version, now)``; ``None`` → cold rebuild."""
-        if version < 0:
-            return None
-        return self._cache._parity_between(version, self._cache.residual_version)
 
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
@@ -165,24 +123,6 @@ class AuxCache:
         # Flip log: _flips[v] holds the edge ids whose flip advanced the
         # residual from version v to v + 1.
         self._flips: dict[int, np.ndarray] = {}
-        # Warm-family identity for the LP engine's persistent models.
-        self.token = next_family_token()
-
-    def __getstate__(self):
-        return self.__dict__.copy()
-
-    def __setstate__(self, state):
-        # A fresh token per unpickle: a worker process must never replay
-        # this cache's deltas against a model another cache warmed (the
-        # engine's model store is per-process; tokens are never reused
-        # within one).
-        self.__dict__.update(state)
-        self.token = next_family_token()
-
-    @property
-    def residual_version(self) -> int:
-        """The bound residual's current version (see :class:`WarmHandle`)."""
-        return self._res.version
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -304,7 +244,7 @@ class AuxCache:
             if entry is not None:
                 obs.inc("search.aux_cache.hit")
                 self._touch(B)
-                return self._served(entry, B)
+                return entry.aux
         obs.inc("search.aux_cache.miss")
         source = None
         for b_prev in self._entries:
@@ -318,18 +258,6 @@ class AuxCache:
         self._entries[B] = entry
         self._touch(B)
         self._evict_to_cap()
-        return self._served(entry, B)
-
-    def _served(self, entry: _Entry, B: int) -> AuxGraph:
-        """Attach the warm-start handle before handing a level out.
-
-        The handle is transport for the LP engine (family token + delta
-        access); it is set via ``object.__setattr__`` because
-        :class:`~repro.core.auxgraph.AuxGraph` is frozen and the field is
-        deliberately excluded from its value semantics.
-        """
-        if entry.aux.warm is None:
-            object.__setattr__(entry.aux, "warm", WarmHandle(self, B))
         return entry.aux
 
     # -- construction paths ---------------------------------------------------

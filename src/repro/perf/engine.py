@@ -62,17 +62,8 @@ class IncrementalSearch:
 
     @property
     def lp_engine(self) -> LPEngine:
-        """The process-global LP engine the search's solves run through.
-
-        Deliberately *not* stored on the instance: the engine owns
-        unpicklable HiGHS handles, and ``IncrementalSearch`` state crosses
-        spawn boundaries in checkpoints and the service worker pool.
-        Warm-model continuity comes from the aux cache's family token, not
-        from holding a reference — the doubling schedule, cancellation
-        iterations, and online ``resolve`` sessions all land on the same
-        per-process models as long as the cache (and thus its token)
-        survives, which is exactly the lifetime ``residual_for`` maintains.
-        """
+        """The process-global LP engine the search's solves run through
+        (looked up, not stored, so the search pickles cleanly)."""
         return get_engine()
 
     @property

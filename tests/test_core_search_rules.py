@@ -89,23 +89,24 @@ class TestAntiTrapRule:
         assert picked is not None
 
 
+def _failing_solve(message):
+    """Stand-in for the HiGHS adapter that reports numerical trouble."""
+    from repro.lp.engine import LPResult
+
+    def solve(*args, **kwargs):
+        return LPResult(status=4, success=False, x=None, fun=None, nit=0, message=message)
+
+    return solve
+
+
 class TestFailureInjection:
     def test_lp_failure_surfaces_as_solver_error(self, monkeypatch):
-        """A misbehaving LP backend must raise SolverError, not corrupt."""
-        import scipy.optimize
+        """A misbehaving LP solver must raise SolverError, not corrupt."""
+        from repro.lp import engine
 
         g, ids = trap_graph()
         res = build_residual(g, [0, 1])
-
-        class FakeResult:
-            status = 4
-            success = False
-            message = "injected failure"
-
-        def boom(*args, **kwargs):
-            return FakeResult()
-
-        monkeypatch.setattr(scipy.optimize, "linprog", boom)
+        monkeypatch.setattr(engine, "_run_highs", _failing_solve("injected failure"))
         from repro.core.auxgraph import build_aux_shifted
         from repro.core.auxlp import solve_ratio_lp
 
@@ -130,16 +131,12 @@ class TestFailureInjection:
             solve_krsp_milp(g, ids["s"], ids["t"], 1, 100)
 
     def test_flow_lp_failure_surfaces(self, monkeypatch):
-        import scipy.optimize
-
+        from repro.lp import engine
         from repro.lp.flow_lp import solve_flow_lp
 
-        class FakeResult:
-            status = 4
-            success = False
-            message = "injected flow lp failure"
-
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: FakeResult())
+        monkeypatch.setattr(
+            engine, "_run_highs", _failing_solve("injected flow lp failure")
+        )
         g, ids = trap_graph()
         with pytest.raises(SolverError, match="injected"):
             solve_flow_lp(g, ids["s"], ids["t"], 1, 100)

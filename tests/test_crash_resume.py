@@ -41,21 +41,6 @@ CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 GOLDEN_FIXTURE = CORPUS_DIR / "golden_v1.journal"
 
 
-@pytest.fixture(autouse=True)
-def _pin_deterministic_lp_backend(monkeypatch):
-    """Resume-vs-uninterrupted byte identity needs the scipy LP backend:
-    warm-started highspy solves are history-dependent, and a resumed run
-    has a different warm history than an uninterrupted one. The env pin
-    also rides into every subprocess this suite spawns (they copy
-    ``os.environ``)."""
-    from repro.lp import engine as lp_engine
-
-    monkeypatch.setenv(lp_engine.BACKEND_ENV, "scipy")
-    lp_engine.reset_engine()
-    yield
-    lp_engine.reset_engine()
-
-
 def _instance():
     rng = np.random.default_rng(21)
     g = gnp_digraph(16, 0.30, rng=rng)

@@ -8,7 +8,6 @@ reproduction repository.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import solve_krsp
 from repro.eval.experiments import figure1_instance, figure2_instance
@@ -17,19 +16,6 @@ from repro.graph import anticorrelated_weights, from_edges, gnp_digraph
 UPDATE_HINT = (
     "golden mismatch — if the change is intentional, update tests/test_goldens.py"
 )
-
-
-@pytest.fixture(autouse=True)
-def _pin_deterministic_lp_backend(monkeypatch):
-    """Goldens were recorded on the scipy LP backend; warm-started highspy
-    may return a different (equally optimal, certificate-verified) routing,
-    so pin the deterministic backend for exact-output comparisons."""
-    from repro.lp import engine as lp_engine
-
-    monkeypatch.setenv(lp_engine.BACKEND_ENV, "scipy")
-    lp_engine.reset_engine()
-    yield
-    lp_engine.reset_engine()
 
 
 class TestSolverGoldens:

@@ -11,7 +11,7 @@ Hypothesis settings come from the profiles registered in ``conftest.py``
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import solve_krsp
 from repro.errors import InfeasibleInstanceError, ReproError
@@ -34,6 +34,8 @@ def _random_instance(seed: int, n: int = 10, model: str = "anti"):
 
 
 @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(10, 80))
+# The min-delay flow's cost (50) once stood in for the C_OPT cap (20).
+@example(seed=18378, k=1, D=43)
 def test_lemma3_bifactor_1_2(seed, k, D):
     """Whenever the instance is feasible the solver returns disjoint paths
     with delay <= D and cost <= 2 * C_OPT (Lemma 3 via the exact oracle)."""

@@ -37,24 +37,6 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = list(load_corpus(CORPUS_DIR))
 
 
-@pytest.fixture(autouse=True)
-def _pin_deterministic_lp_backend(monkeypatch):
-    """Bit-identity comparisons need the deterministic scipy LP backend.
-
-    Warm-started highspy solves are history-dependent — a reused basis may
-    land on a *different* optimal vertex than a cold solve, which is
-    correct (every consumer verifies certificates) but breaks byte-equal
-    incremental-vs-scratch differentials. The engine's answers themselves
-    are covered by ``tests/test_lp_engine.py``'s backend-parity suite.
-    """
-    from repro.lp import engine as lp_engine
-
-    monkeypatch.setenv(lp_engine.BACKEND_ENV, "scipy")
-    lp_engine.reset_engine()
-    yield
-    lp_engine.reset_engine()
-
-
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
