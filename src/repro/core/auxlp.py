@@ -64,8 +64,8 @@ def solve_ratio_lp(aux: AuxGraph, cost_sign: int) -> np.ndarray | None:
     # An LP solve is the largest indivisible unit of work in the pipeline;
     # under an ambient deadline, cap HiGHS's own runtime at the remaining
     # budget so a single big solve cannot blow past the deadline. Assembly
-    # (incl. the MASS_CAP boundedness trick — see the module docstring) and
-    # warm-start bookkeeping live in repro.lp.engine.
+    # (incl. the MASS_CAP boundedness trick — see the module docstring)
+    # lives in repro.lp.engine.
     options, deadline_capped = lp_time_limit_options()
     res = get_engine().solve_ratio(aux, cost_sign, options=options)
     obs.inc("lp.ratio_lp.solves")

@@ -44,9 +44,9 @@ from typing import Iterator
 
 from repro.obs import _state
 from repro.obs._state import TRACE_SCHEMA, Telemetry
-from repro.obs.counters import add, gauge, inc, snapshot
+from repro.obs.counters import add, gauge, inc, observe, snapshot
 from repro.obs.events import emit, events
-from repro.obs.hist import BUCKET_BOUNDS, Histogram, observe
+from repro.obs.hist import BUCKET_BOUNDS, Histogram
 from repro.obs.spans import SpanRecord, current_span_id, span
 
 

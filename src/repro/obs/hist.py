@@ -3,8 +3,8 @@
 Every span close and the solve-level latency probe feed a
 :class:`Histogram` per name on each active session, alongside the
 counters (:mod:`repro.obs.counters`) and with the same
-zero-cost-when-disabled guarantee: :func:`observe` returns immediately
-when no session is collecting.
+zero-cost-when-disabled guarantee: :func:`repro.obs.observe` returns
+immediately when no session is collecting.
 
 One **fixed, global** bucket ladder (:data:`BUCKET_BOUNDS`) covers every
 histogram: 25 log-spaced upper bounds from 1µs to 100s (a factor of
@@ -54,6 +54,18 @@ class Histogram:
         self.sum += value
         self.count += 1
 
+    def observe_all(self, values: list[float]) -> None:
+        """Record every value in ``values``, in order (same result as
+        calling :meth:`observe` on each)."""
+        counts = self.counts
+        for v in values:
+            counts[bisect_left(BUCKET_BOUNDS, v)] += 1
+        total = self.sum
+        for v in values:
+            total += v
+        self.sum = total
+        self.count += len(values)
+
     def merge(self, other: "Histogram | dict[str, Any]") -> None:
         """Fold another histogram (or its :meth:`as_dict` form) into this one."""
         if isinstance(other, dict):
@@ -97,18 +109,6 @@ class Histogram:
         h = cls()
         h.merge(d)
         return h
-
-
-def observe(name: str, value: float) -> None:
-    """Record ``value`` (seconds) into histogram ``name`` on every active
-    session. No-op when tracing is disabled."""
-    from repro.obs import _state
-
-    sessions = _state._SESSIONS
-    if not sessions:
-        return
-    for tel in sessions:
-        tel.observe_hist(name, value)
 
 
 def validate_histogram(name: str, d: Any) -> list[str]:
