@@ -134,8 +134,7 @@ def cancel_to_feasibility(
     strict_monitor: bool = False,
     finder: str = "production",
     meter: BudgetMeter | None = None,
-    incremental: bool | None = None,
-    anchor_workers: int | None = None,
+    incremental: bool = True,
     journal: "object | None" = None,
     resume_state: ResumeState | None = None,
 ) -> CancellationResult:
@@ -159,16 +158,11 @@ def cancel_to_feasibility(
     incremental:
         Use the :mod:`repro.perf` incremental search engine: the residual
         graph is kept alive across iterations and advanced by in-place
-        edge flips, and auxiliary graphs come from a version-keyed cache.
-        For the production finder this is **bit-identical** to the
-        from-scratch path (differentially tested) and is the default
-        (``None`` resolves to ``finder == "production"``). For
-        ``paper_literal`` it additionally enables dirty-anchor replay —
-        a documented heuristic (see :mod:`repro.perf.anchors`) — so it
-        stays opt-in there.
-    anchor_workers:
-        With the incremental paper-literal finder, fan dirty anchors out
-        over this many pool workers (``None``/``1`` = in-process).
+        edge flips, and the production finder's auxiliary graphs come
+        from a version-keyed cache. Bit-identical to the from-scratch
+        path for both finders (differentially tested); ``False`` keeps
+        that from-scratch path only as the reference the differential
+        suite compares against.
     meter:
         Armed :class:`repro.robustness.BudgetMeter` for **anytime**
         semantics: every stopping rule (deadline, iteration caps, search
@@ -218,9 +212,6 @@ def cancel_to_feasibility(
     # what an exhausted budget hands back instead of raising.
     best = sol
 
-    use_incremental = (
-        incremental if incremental is not None else finder == "production"
-    )
     engine = None
     if resume_state is not None:
         sol = resume_state.solution
@@ -228,8 +219,8 @@ def cancel_to_feasibility(
         result.records = list(resume_state.records)
         seen_states = set(resume_state.seen_states)
         best = resume_state.best
-        engine = resume_state.engine if use_incremental else None
-    if use_incremental and engine is None:
+        engine = resume_state.engine if incremental else None
+    if incremental and engine is None:
         from repro.perf import IncrementalSearch
 
         engine = IncrementalSearch(g)
@@ -282,21 +273,9 @@ def cancel_to_feasibility(
             delta_c_soft = cost_cap - sol.cost
         try:
             if finder == "paper_literal":
-                if engine is not None:
-                    from repro.perf import find_bicameral_candidates_paper_tracked
-
-                    candidates = find_bicameral_candidates_paper_tracked(
-                        residual,
-                        delta_d,
-                        engine.tracker,
-                        stats=result.search_stats,
-                        meter=meter,
-                        max_workers=anchor_workers,
-                    )
-                else:
-                    candidates = find_bicameral_candidates_paper(
-                        residual, delta_d, stats=result.search_stats, meter=meter
-                    )
+                candidates = find_bicameral_candidates_paper(
+                    residual, delta_d, stats=result.search_stats, meter=meter
+                )
                 picked = select_candidate(
                     candidates,
                     delta_d,

@@ -151,7 +151,6 @@ def solve_krsp(
     strict_monitor: bool = False,
     finder: str = "production",
     budget: SolveBudget | None = None,
-    incremental: bool | None = None,
     checkpoint_hook=None,
 ) -> KRSPSolution:
     """Solve kRSP with the paper's bifactor algorithm.
@@ -172,12 +171,8 @@ def solve_krsp(
         :mod:`repro.core.cancellation`).
     opt_cost, strict_monitor, finder:
         Instrumentation / fidelity knobs — see
-        :func:`cancel_to_feasibility`.
-    incremental:
-        Incremental search engine toggle (:mod:`repro.perf`); ``None``
-        auto-enables it for the production finder, where it is
-        bit-identical to the from-scratch path — see
-        :func:`cancel_to_feasibility`.
+        :func:`cancel_to_feasibility`. Either finder runs on the
+        :mod:`repro.perf` incremental search engine.
     budget:
         Cooperative :class:`repro.robustness.SolveBudget` enabling
         **anytime** semantics: on exhaustion (wall-clock deadline,
@@ -213,7 +208,7 @@ def solve_krsp(
             sol = _solve_krsp_impl(
                 g, s, t, k, delay_bound, phase1, eps, b_max,
                 max_iterations, opt_cost, strict_monitor, finder, meter,
-                incremental, checkpoint_hook,
+                checkpoint_hook,
             )
         # End-to-end solve latency, observed into every enclosing session's
         # "krsp.solve" histogram (the nested per-solve session just closed,
@@ -224,7 +219,7 @@ def solve_krsp(
     return _solve_krsp_impl(
         g, s, t, k, delay_bound, phase1, eps, b_max,
         max_iterations, opt_cost, strict_monitor, finder, meter,
-        incremental, checkpoint_hook,
+        checkpoint_hook,
     )
 
 
@@ -242,7 +237,6 @@ def _solve_krsp_impl(
     strict_monitor: bool,
     finder: str,
     meter: BudgetMeter | None = None,
-    incremental: bool | None = None,
     checkpoint_hook=None,
 ) -> KRSPSolution:
     """The pipeline body of :func:`solve_krsp` (telemetry-agnostic)."""
@@ -358,7 +352,6 @@ def _solve_krsp_impl(
                     max_iterations=max_iterations,
                     strict_monitor=strict_monitor and not scaled,
                     finder=finder,
-                    incremental=incremental,
                     journal=checkpoint_hook,
                 )
             exhausted = result.exhausted

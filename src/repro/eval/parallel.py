@@ -348,8 +348,7 @@ def resilient_pool_map(
     """Generic fault-tolerant process-pool map: one record per payload.
 
     The machinery behind :func:`run_trials_parallel`, reusable for any
-    picklable ``fn(payload) -> dict`` fan-out (the dirty-anchor search in
-    :mod:`repro.perf.anchors` rides it too). Guarantees, in payload order:
+    picklable ``fn(payload) -> dict`` fan-out. Guarantees, in payload order:
 
     * ``fn``'s own return value when the worker finishes;
     * ``failure_record(payload, kind, detail, seconds)`` otherwise, with

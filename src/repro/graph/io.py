@@ -83,9 +83,9 @@ def graph_from_dict(data: dict[str, Any], *, require_nonnegative: bool = False) 
     """Inverse of :func:`graph_to_dict`; validates schema *and* content.
 
     ``require_nonnegative`` is what kRSP *instances* demand of their input
-    graph (Definition 2); it stays off by default because residual graphs
-    — which legitimately carry negated weights — also travel through this
-    schema (:mod:`repro.perf.anchors` ships them to pool workers).
+    graph (Definition 2); it stays off by default because the schema is
+    not kRSP-specific — a residual graph, say, legitimately carries
+    negated weights.
     """
     data = _require_dict(data, "graph")
     if data.get("schema") != SCHEMA_VERSION:

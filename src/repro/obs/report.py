@@ -144,9 +144,7 @@ def validate_trace(trace: Trace) -> list[str]:
     6. the incremental-search counters are internally consistent:
        ``search.aux_cache.evict <= search.aux_cache.miss`` (only built
        entries can be evicted), ``search.aux_cache.delta_refresh <=
-       search.aux_cache.hit`` (a delta refresh is a stale hit), and
-       ``search.anchors.probes == search.anchors.dirty +
-       search.anchors.skipped`` (every anchor is classified exactly once);
+       search.aux_cache.hit`` (a delta refresh is a stale hit);
     7. LP-engine accounting: ``lp.pivots_unreported`` cannot exceed the
        total LP solve count (``lp.flow_lp.solves + lp.ratio_lp.solves +
        lp.lp6.solves``) — each solve reports its pivots at most once, to
@@ -238,13 +236,6 @@ def validate_trace(trace: Trace) -> list[str]:
             f"> search.aux_cache.hit ({c.get('search.aux_cache.hit', 0)}) — "
             "a delta refresh must be a (stale) cache hit"
         )
-    if "search.anchors.probes" in c or "search.anchors.dirty" in c:
-        probes = c.get("search.anchors.probes", 0)
-        classified = c.get("search.anchors.dirty", 0) + c.get("search.anchors.skipped", 0)
-        if probes != classified:
-            problems.append(
-                f"search.anchors.probes ({probes}) != dirty + skipped ({classified})"
-            )
     lp_solves = (
         c.get("lp.flow_lp.solves", 0)
         + c.get("lp.ratio_lp.solves", 0)
@@ -517,7 +508,7 @@ def report_json(trace: Trace, top: int = 10) -> dict[str, Any]:
         "search_cache": {
             k: v
             for k, v in sorted({**trace.counters, **trace.gauges}.items())
-            if k.startswith(("search.aux_cache.", "search.anchors.", "residual."))
+            if k.startswith(("search.aux_cache.", "residual."))
             or k == "search.rebuild_bytes"
         },
         "events": len(trace.events),

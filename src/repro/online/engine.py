@@ -172,9 +172,7 @@ def start_online(
     drifting underneath them. Pass ``copy=False`` to adopt the arrays.
     """
     work = g.copy() if copy else g
-    sol = solve_krsp(
-        work, s, t, k, delay_bound, phase1=phase1, budget=budget, incremental=True
-    )
+    sol = solve_krsp(work, s, t, k, delay_bound, phase1=phase1, budget=budget)
     inst = KRSPInstance(graph=work, s=s, t=t, k=k, delay_bound=delay_bound)
     return OnlineState(
         instance=inst,
@@ -463,7 +461,6 @@ def _resolve_warm(
                             max_iterations=max_iterations,
                             finder="production",
                             meter=meter,
-                            incremental=True,
                             journal=hook,
                             resume_state=resume,
                         )
@@ -582,7 +579,6 @@ def _resolve_cold(
                 phase1=state.phase1,
                 max_iterations=max_iterations,
                 budget=budget,
-                incremental=True,
             )
     except InfeasibleInstanceError:
         state.solution = None

@@ -15,29 +15,18 @@ without changing a single solver decision:
   graphs when the residual changes (only the flipped edges' layer
   segments are rewritten) and grows level ``B`` from level ``B/2``
   instead of re-enumerating all layer copies.
-* :class:`~repro.perf.anchors.AnchorTracker` — dirty-anchor bookkeeping
-  for the paper-literal Algorithm 3 finder: anchors whose incident
-  residual edges are unchanged replay their cached candidate cycles,
-  and the surviving dirty set can fan out over the fault-tolerant
-  worker pool of :mod:`repro.eval.parallel`.
 
-Correctness contract: with the production finder the incremental engine
-is **bit-identical** to the from-scratch path — same residual arrays,
-same auxiliary graphs edge-for-edge, hence the same LP inputs, the same
+Correctness contract: for both finders the incremental engine is
+**bit-identical** to the from-scratch path — same residual arrays, same
+auxiliary graphs edge-for-edge, hence the same LP inputs, the same
 cancelled cycles and the same ``cancel.iteration`` telemetry trail
-(enforced by ``tests/test_search_incremental.py``). Dirty-anchor replay
-for the paper finder is a documented heuristic (replayed candidates are
-always still-valid residual cycles, but the candidate *set* may differ
-from a full re-probe) and stays opt-in. See docs/PERFORMANCE.md.
+(enforced by ``tests/test_search_incremental.py``). The production
+finder draws residual and layered graphs from the engine; the
+paper-literal finder draws only the residual and builds its per-anchor
+``H_v^±(B)`` graphs itself. See docs/PERFORMANCE.md.
 """
 
-from repro.perf.anchors import AnchorTracker, find_bicameral_candidates_paper_tracked
 from repro.perf.auxcache import AuxCache
 from repro.perf.engine import IncrementalSearch
 
-__all__ = [
-    "AnchorTracker",
-    "AuxCache",
-    "IncrementalSearch",
-    "find_bicameral_candidates_paper_tracked",
-]
+__all__ = ["AuxCache", "IncrementalSearch"]

@@ -16,7 +16,9 @@ Because the served residual and auxiliary arrays are bit-identical to
 their from-scratch counterparts, every downstream decision — Bellman–Ford
 probes, HiGHS LP solves, candidate extraction, selection — is unchanged;
 the differential suite (``tests/test_search_incremental.py``) asserts the
-full cancelled-cycle sequence and telemetry trail match.
+full cancelled-cycle sequence and telemetry trail match. Both finders run
+on it: the production finder also draws its layered graphs from the cache,
+the paper-literal finder only its residual.
 """
 
 from __future__ import annotations
@@ -27,16 +29,14 @@ from repro.core.auxgraph import AuxGraph
 from repro.core.residual import ResidualGraph, build_residual
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
-from repro.lp.engine import LPEngine, get_engine
-from repro.perf.anchors import AnchorTracker
-from repro.perf.auxcache import DEFAULT_MAX_BYTES, AuxCache
+from repro.perf.auxcache import AuxCache
 
 
 class IncrementalSearch:
     """Long-lived residual + aux-graph state for one cancellation run.
 
     Usage (what :func:`repro.core.cancellation.cancel_to_feasibility`
-    does when ``incremental`` is on)::
+    does by default)::
 
         engine = IncrementalSearch(g)
         while infeasible:
@@ -46,32 +46,15 @@ class IncrementalSearch:
             ...
     """
 
-    def __init__(
-        self, graph: DiGraph, *, max_cache_bytes: int = DEFAULT_MAX_BYTES
-    ) -> None:
+    def __init__(self, graph: DiGraph) -> None:
         self._g = graph
-        self._max_cache_bytes = max_cache_bytes
         self._residual: ResidualGraph | None = None
         self._solution: frozenset[int] | None = None
         self._cache: AuxCache | None = None
-        self._tracker: AnchorTracker | None = None
 
     @property
     def residual(self) -> ResidualGraph | None:
         return self._residual
-
-    @property
-    def lp_engine(self) -> LPEngine:
-        """The process-global LP engine the search's solves run through
-        (looked up, not stored, so the search pickles cleanly)."""
-        return get_engine()
-
-    @property
-    def tracker(self) -> AnchorTracker:
-        """Dirty-anchor tracker for the paper-literal finder (lazy)."""
-        if self._tracker is None:
-            self._tracker = AnchorTracker(self._g.m)
-        return self._tracker
 
     def residual_for(self, solution_edge_ids) -> ResidualGraph:
         """The residual of the current solution, updated in place.
@@ -84,17 +67,13 @@ class IncrementalSearch:
         new_solution = frozenset(int(e) for e in solution_edge_ids)
         if self._residual is None:
             self._residual = build_residual(self._g, sorted(new_solution))
-            self._cache = AuxCache(
-                self._residual, max_bytes=self._max_cache_bytes
-            )
+            self._cache = AuxCache(self._residual)
         else:
             diff = self._solution ^ new_solution
             if diff:
                 flipped = self._residual.apply_flip(sorted(diff))
                 assert self._cache is not None
                 self._cache.note_flips(flipped)
-                if self._tracker is not None:
-                    self._tracker.note_flips(flipped, self._residual.version)
         self._solution = new_solution
         return self._residual
 
@@ -105,15 +84,13 @@ class IncrementalSearch:
         deserializes the snapshot's residual and hands it here; the solution
         it reflects is exactly its reversed edge set, so no separate edge
         list is needed. The aux cache restarts cold — correctness never
-        depended on it being warm — and the anchor tracker is dropped
-        (resume supports the production finder only).
+        depended on it being warm.
         """
         self._residual = residual
         self._solution = frozenset(
             int(e) for e in np.nonzero(residual.reversed_mask)[0]
         )
-        self._cache = AuxCache(residual, max_bytes=self._max_cache_bytes)
-        self._tracker = None
+        self._cache = AuxCache(residual)
 
     def apply_reweight(self, edge_ids, cost, delay) -> np.ndarray:
         """Drift edge weights in place (online churn seam); returns ids.
@@ -122,15 +99,12 @@ class IncrementalSearch:
         ``edge_ids``; the residual stores them sign-adjusted and bumps its
         version, and the aux cache reconciles eagerly (reweights cannot ride
         the parity-folded flip log — see :meth:`AuxCache.note_reweight`).
-        The anchor tracker is dropped: reweights are an online-resolve
-        operation and resume/online paths run the production finder only.
         """
         if self._residual is None:
             raise GraphError("apply_reweight: engine has no residual yet")
         eids = self._residual.reweight_edges(edge_ids, cost, delay)
         assert self._cache is not None
         self._cache.note_reweight(eids)
-        self._tracker = None
         return eids
 
     def remove_edges(self, edge_ids) -> np.ndarray:
@@ -164,8 +138,7 @@ class IncrementalSearch:
         )
         if self._cache is not None:
             self._cache.note_structural_change()
-        self._cache = AuxCache(self._residual, max_bytes=self._max_cache_bytes)
-        self._tracker = None
+        self._cache = AuxCache(self._residual)
 
     def aux_provider(self, residual_graph: DiGraph, B: int) -> AuxGraph:
         """Drop-in for ``build_aux_shifted`` backed by the keyed cache.

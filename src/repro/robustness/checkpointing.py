@@ -39,10 +39,10 @@ is re-validated against the graph:
 Any violation raises :class:`~repro.errors.JournalError` — a journal that
 contradicts its own instance is worse than no journal.
 
-Scope: checkpointing supports the production finder with the incremental
-engine (the configuration whose delta path is differentially proven
-bit-identical) and no epsilon-scaling; :func:`solve_checkpointed` rejects
-anything else up front.
+Scope: checkpointing supports the production finder on the incremental
+engine (the configuration the journal header pins) and no
+epsilon-scaling; :func:`solve_checkpointed` rejects anything else up
+front.
 """
 
 from __future__ import annotations
@@ -371,16 +371,13 @@ def solve_checkpointed(
     :class:`SolveInterrupted` propagates with the journal path attached;
     ``resume_krsp(journal_path)`` later finishes the run.
 
-    Only the production finder with the incremental engine is supported —
-    the configuration whose delta path is proven bit-identical — and no
-    epsilon-scaling (scaled iterations are not replayable in original
-    units).
+    Only the production finder is supported, and no epsilon-scaling
+    (scaled iterations are not replayable in original units).
     """
     if finder != "production":
         raise GraphError(
             "checkpointed solving supports only the production finder "
-            f"(got {finder!r}); the resume replay path relies on the "
-            "incremental engine's bit-identical delta contract"
+            f"(got {finder!r})"
         )
     config = _solve_config(
         phase1=phase1,
@@ -410,7 +407,6 @@ def solve_checkpointed(
             opt_cost=opt_cost,
             strict_monitor=strict_monitor,
             finder="production",
-            incremental=True,
             checkpoint_hook=hook,
         )
         hook.write_final(sol)
@@ -585,7 +581,6 @@ def _resume_inner(
             opt_cost=config["opt_cost"],
             strict_monitor=config["strict_monitor"],
             finder="production",
-            incremental=True,
             checkpoint_hook=hook,
         )
         hook.write_final(sol)
@@ -692,7 +687,6 @@ def _resume_inner(
         max_iterations=config["max_iterations"],
         strict_monitor=config["strict_monitor"],
         finder="production",
-        incremental=True,
         journal=hook,
         resume_state=resume_state,
     )

@@ -335,15 +335,6 @@ class TestProcessSafety:
         assert np.array_equal(aux.graph.tail, fresh.graph.tail)
         assert np.array_equal(aux.graph.head, fresh.graph.head)
 
-    def test_incremental_search_exposes_global_engine(self):
-        from repro.perf import IncrementalSearch
-
-        g = anticorrelated_weights(gnp_digraph(8, 0.45, rng=3), rng=4)
-        search = IncrementalSearch(g)
-        assert search.lp_engine is get_engine()
-        # Not stored on the instance — nothing unpicklable to leak.
-        assert "lp_engine" not in vars(search)
-
 
 class TestAuxCacheGaps:
     def test_flip_log_gap_forces_rebuild(self):

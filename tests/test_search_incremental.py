@@ -1,14 +1,13 @@
 """Differential suite for the incremental search engine (:mod:`repro.perf`).
 
-The engine's contract is *bit-identity*: with the production finder, a
-cancellation run driven by :class:`~repro.perf.IncrementalSearch` (in-place
-residual deltas, cached auxiliary graphs) must produce the same cancelled
-cycles, the same costs, and the same ``cancel.iteration`` telemetry trail as
-the from-scratch path. These tests enforce that on the committed corpus and
-on hypothesis-generated substrates, plus unit-level differentials for every
-layer the engine touches (CSR patching, residual flips, the aux cache, the
-dirty-anchor tracker) and regression tests for the satellite fixes
-(long-cycle decomposition, transform copy-on-write).
+The engine's contract is *bit-identity*: with either finder, a cancellation
+run driven by :class:`~repro.perf.IncrementalSearch` (in-place residual
+deltas, cached auxiliary graphs) must produce the same cancelled cycles, the
+same costs, and the same ``cancel.iteration`` telemetry trail as the
+from-scratch path. These tests enforce that on the committed corpus and on
+random substrates, plus unit-level differentials for every layer the engine
+touches (CSR patching, residual flips, the aux cache) and regression tests
+for the satellite fixes (long-cycle decomposition, transform copy-on-write).
 """
 
 import json
@@ -31,10 +30,28 @@ from repro.graph import anticorrelated_weights, gnp_digraph
 from repro.graph.digraph import DiGraph
 from repro.oracle import load_corpus
 from repro.paths import find_negative_cycle
-from repro.perf import AnchorTracker, AuxCache, IncrementalSearch
+from repro.perf import AuxCache, IncrementalSearch
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = list(load_corpus(CORPUS_DIR))
+
+#: Inputs small enough for the paper-literal finder: the corpus entries
+#: with m <= 12, plus pinned random substrates that each reach one or two
+#: cancellation iterations.
+PAPER_LITERAL_INPUTS = [
+    pytest.param(
+        e.instance.graph, e.instance.s, e.instance.t, e.instance.k,
+        e.instance.delay_bound, id=e.name,
+    )
+    for e in ENTRIES
+    if e.instance.graph.m <= 12
+] + [
+    pytest.param(
+        anticorrelated_weights(gnp_digraph(8, 0.4, rng=seed), rng=seed + 1),
+        0, 7, 2, 30, id=f"gnp8_seed{seed}",
+    )
+    for seed in (3, 6, 11)
+]
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +113,9 @@ def _assert_differential(g, s, t, k, delay_bound, finder, **kw):
         incr.solution.cost,
         incr.solution.delay,
     )
-    if finder == "production":
-        # Full bit-identity: same cycles, same telemetry trail.
-        assert base_trail == incr_trail
-        assert base.records == incr.records
+    # Full bit-identity: same cycles, same telemetry trail.
+    assert base_trail == incr_trail
+    assert base.records == incr.records
 
 
 def _random_residual_full(rng, n=12, p=0.35):
@@ -133,18 +149,9 @@ class TestCancellationDifferential:
             i.graph, i.s, i.t, i.k, i.delay_bound, finder="production"
         )
 
-    @pytest.mark.parametrize(
-        "entry",
-        [e for e in ENTRIES if e.instance.graph.m <= 12],
-        ids=[e.name for e in ENTRIES if e.instance.graph.m <= 12],
-    )
-    def test_corpus_paper_literal(self, entry):
-        """The tracked paper finder is a heuristic (replayed verdicts), but
-        the final solution quality must match the from-scratch finder."""
-        i = entry.instance
-        _assert_differential(
-            i.graph, i.s, i.t, i.k, i.delay_bound, finder="paper_literal"
-        )
+    @pytest.mark.parametrize("g,s,t,k,delay_bound", PAPER_LITERAL_INPUTS)
+    def test_corpus_paper_literal(self, g, s, t, k, delay_bound):
+        _assert_differential(g, s, t, k, delay_bound, finder="paper_literal")
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6))
@@ -314,42 +321,6 @@ class TestIncrementalSearchEngine:
         foreign = build_residual(g, [0])
         with pytest.raises(GraphError):
             engine.aux_provider(foreign.graph, 2)
-
-
-# ---------------------------------------------------------------------------
-# dirty-anchor tracker
-# ---------------------------------------------------------------------------
-
-
-class TestAnchorTracker:
-    def test_unknown_anchor_is_dirty(self):
-        res = build_residual(gnp_digraph(6, 0.5, rng=0), [0])
-        tracker = AnchorTracker(res.graph.m)
-        assert tracker.is_dirty(res, 0)
-
-    def test_clean_after_store_dirty_after_incident_flip(self):
-        g = anticorrelated_weights(gnp_digraph(8, 0.5, rng=4), rng=4)
-        res = build_residual(g, [0, 1])
-        tracker = AnchorTracker(g.m)
-        anchor = int(res.graph.head[0])
-        tracker.store(anchor, res.version, {})
-        assert not tracker.is_dirty(res, anchor)
-        incident = np.concatenate(
-            [res.graph.out_edges(anchor), res.graph.in_edges(anchor)]
-        )
-        flipped = res.apply_flip([int(incident[0])])
-        tracker.note_flips(flipped, res.version)
-        assert tracker.is_dirty(res, anchor)
-
-    def test_replay_drops_candidates_with_flipped_edges(self):
-        from repro.core.bicameral import CandidateCycle
-
-        tracker = AnchorTracker(10)
-        cand_ok = CandidateCycle(edges=(1, 2), cost=0, delay=-1)
-        cand_stale = CandidateCycle(edges=(3, 4), cost=1, delay=-2)
-        tracker.store(0, 0, {(1, 1): [cand_ok, cand_stale]})
-        tracker.note_flips([3], 1)
-        assert tracker.replay(0, 1, 1) == [cand_ok]
 
 
 # ---------------------------------------------------------------------------
