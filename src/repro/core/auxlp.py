@@ -23,11 +23,24 @@ circulation would drive an uncapped LP to ``-inf``. Variables are therefore
 capped at :data:`MASS_CAP`; such circulations then surface as cost-0
 negative-delay cycles in the peel — type-0 candidates, exactly what the
 search wants most.
+
+Pruning: every feasible point is a circulation, and a circulation splits
+into cycles that each stay inside one strongly connected component of
+``H`` without the closed other-sign wraps. HiGHS therefore sees only those
+:func:`circulation_edges`; the pruned LP has the same feasible set on the
+kept edges, the same optimum and the same infeasibility verdict, and the
+dropped edges are 0 in the returned vector. When no chosen-sign wrap is
+kept, the normalization row cannot be met and HiGHS is not called at all
+(measurements: docs/PERFORMANCE.md, "Ratio LP on circulation edges only").
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro import obs
 from repro.core.auxgraph import AuxGraph
@@ -46,6 +59,24 @@ PEEL_TOL = 1e-7
 MASS_CAP = 1e6
 
 
+def circulation_edges(aux: AuxGraph, cost_sign: int) -> np.ndarray:
+    """Mask of the ``aux`` edges a circulation of the ratio LP can use.
+
+    The other-sign wraps are closed in the LP, so they are dropped first;
+    of the rest, an edge can carry circulation mass only when its tail and
+    head lie in one strongly connected component (every circulation splits
+    into cycles, and a cycle never leaves its component).
+    """
+    h = aux.graph
+    usable = (aux.wrap_cost * cost_sign) >= 0
+    adjacency = sp.csr_array(
+        (np.ones(np.count_nonzero(usable)), (h.tail[usable], h.head[usable])),
+        shape=(h.n, h.n),
+    )
+    _, component = connected_components(adjacency, directed=True, connection="strong")
+    return usable & (component[h.tail] == component[h.head])
+
+
 def solve_ratio_lp(aux: AuxGraph, cost_sign: int) -> np.ndarray | None:
     """Solve the normalized min-ratio circulation LP on ``aux``.
 
@@ -53,13 +84,25 @@ def solve_ratio_lp(aux: AuxGraph, cost_sign: int) -> np.ndarray | None:
     positive cost; -1: negative cost). Returns the fractional edge vector,
     or ``None`` when no circulation of that sign exists within radius B.
 
+    Only the :func:`circulation_edges` reach HiGHS (why that is exact:
+    the module docstring), and the answer is scattered back to all of
+    ``aux``'s edges. When no wrap of the chosen sign is among them, HiGHS
+    is not called (``lp.ratio_lp.skipped``).
+
     Raises :class:`SolverError` on an unbounded LP (negative-delay zero-cost
     circulation — callers should have eliminated these first).
     """
-    wraps = aux.wrap_cost
-    chosen = (wraps * cost_sign) > 0
-    if not chosen.any():
+    keep = circulation_edges(aux, cost_sign)
+    if not (keep & ((aux.wrap_cost * cost_sign) > 0)).any():
+        obs.inc("lp.ratio_lp.skipped")
         return None
+    h = aux.graph
+    sub = replace(
+        aux,
+        graph=DiGraph(h.n, h.tail[keep], h.head[keep], h.cost[keep], h.delay[keep]),
+        orig_eid=aux.orig_eid[keep],
+        wrap_cost=aux.wrap_cost[keep],
+    )
 
     # An LP solve is the largest indivisible unit of work in the pipeline;
     # under an ambient deadline, cap HiGHS's own runtime at the remaining
@@ -67,7 +110,7 @@ def solve_ratio_lp(aux: AuxGraph, cost_sign: int) -> np.ndarray | None:
     # (incl. the MASS_CAP boundedness trick — see the module docstring)
     # lives in repro.lp.engine.
     options, deadline_capped = lp_time_limit_options()
-    res = get_engine().solve_ratio(aux, cost_sign, options=options)
+    res = get_engine().solve_ratio(sub, cost_sign, options=options)
     obs.inc("lp.ratio_lp.solves")
     if res.status == 2:
         return None
@@ -75,7 +118,9 @@ def solve_ratio_lp(aux: AuxGraph, cost_sign: int) -> np.ndarray | None:
         raise BudgetExhaustedError("deadline", "auxlp.ratio_lp")
     if not res.success:
         raise SolverError(f"ratio LP failed: status={res.status} {res.message}")
-    return np.maximum(res.x, 0.0)
+    x = np.zeros(h.m)
+    x[keep] = np.maximum(res.x, 0.0)
+    return x
 
 
 def peel_fractional_cycles(
