@@ -32,7 +32,13 @@ separately (PR 9):
 * **LP engine gate** — the LP engine (:mod:`repro.lp.engine`) is
   held to a deterministic ``lp.pivots`` ceiling on the E5 cancellation
   kernel (enforced in every mode, including ``--quick`` — counters don't
-  depend on hardware).
+  depend on hardware). Since the ratio search left HiGHS, E5 runs only
+  phase-1 flow LPs and this ceiling passes trivially.
+* **Ratio search gate** — the exact ratio search
+  (:func:`repro.core.auxlp.min_ratio_cycle`) is held to a deterministic
+  ``search.ratio.newton_steps`` ceiling on the same kernel, so a change
+  that makes the Newton iteration converge more slowly fails in every
+  mode.
 
 Usage::
 
@@ -79,6 +85,12 @@ SPEEDUP_FLOORS = {
 # are machine-independent.
 PIVOT_CEILINGS = {
     "e5_cancellation": 100_534,
+}
+# Deterministic Newton-step ceilings per kernel: the E5 measurement when
+# the ratio search replaced the ratio LP (106 passes over 28 searches that
+# were not skipped) plus 5%.
+NEWTON_STEP_CEILINGS = {
+    "e5_cancellation": 111,
 }
 # Budget levels swept by the search-layer kernels — a pinned prefix of the
 # production finder's doubling schedule.
@@ -467,6 +479,22 @@ def run_gate(args) -> int:
         if pivots > ceiling:
             failures.append(
                 f"{kname}: lp.pivots {pivots} exceeds the ceiling {ceiling}"
+            )
+
+    # -- ratio search gate: deterministic Newton-step ceilings
+    report["ratio_search"] = {
+        "newton_steps": {
+            name: entry["counters"].get("search.ratio.newton_steps", 0)
+            for name, entry in report["kernels"].items()
+        },
+        "ceilings": NEWTON_STEP_CEILINGS,
+    }
+    for kname, ceiling in NEWTON_STEP_CEILINGS.items():
+        steps = report["ratio_search"]["newton_steps"][kname]
+        print(f"{kname:18s} search.ratio.newton_steps {steps:5d} (ceiling {ceiling})")
+        if steps > ceiling:
+            failures.append(
+                f"{kname}: search.ratio.newton_steps {steps} exceeds the ceiling {ceiling}"
             )
 
     report["speedups"] = measure_speedups(args.quick)

@@ -21,8 +21,9 @@ from repro.core.bicameral import (
 from repro.core.auxgraph import AuxGraph, build_aux_paper, build_aux_shifted
 from repro.core.auxlp import (
     candidates_from_circulation,
+    candidates_from_cycles,
+    min_ratio_cycle,
     peel_fractional_cycles,
-    solve_ratio_lp,
 )
 from repro.core.search import (
     SearchStats,
@@ -73,8 +74,9 @@ __all__ = [
     "build_aux_paper",
     "build_aux_shifted",
     "candidates_from_circulation",
+    "candidates_from_cycles",
+    "min_ratio_cycle",
     "peel_fractional_cycles",
-    "solve_ratio_lp",
     "SearchStats",
     "find_bicameral_candidates",
     "find_bicameral_cycle",

@@ -1,15 +1,16 @@
 """Bicameral-cycle search driver (Algorithm 3).
 
-Combines the cheap single-criterion probes with the layered-LP machinery:
+Combines the cheap single-criterion probes with the layered-graph machinery:
 
 1. **Fast probes** — Bellman–Ford negative-cycle detection on the residual
    graph under delay alone and under cost alone. Each hit is split into
    simple cycles and classified; a type-0 hit short-circuits everything
-   (no LP is ever built).
+   (no auxiliary graph is ever built).
 2. **Layered sweep** — for ``B`` doubling up to ``sum |c(e)|`` (the largest
    possible running-cost spread of any simple residual cycle), build the
-   shifted auxiliary graph and solve the min-ratio circulation LP for both
-   cost signs, accumulating candidates. The sweep stops early once a
+   shifted auxiliary graph and find an exact minimum-ratio cycle
+   (:func:`repro.core.auxlp.min_ratio_cycle`) for both cost signs,
+   accumulating candidates. The sweep stops early once a
    type-0 candidate appears; otherwise all candidates are returned for
    rate-based selection by the cancellation loop.
 
@@ -28,7 +29,11 @@ import numpy as np
 
 from repro import obs
 from repro.core.auxgraph import AuxGraph, build_aux_shifted
-from repro.core.auxlp import candidates_from_circulation, solve_ratio_lp
+from repro.core.auxlp import (
+    candidates_from_circulation,
+    candidates_from_cycles,
+    min_ratio_cycle,
+)
 from repro.core.bicameral import CandidateCycle, CycleType, classify
 from repro.core.cycle_decompose import split_closed_walk
 from repro.core.residual import ResidualGraph
@@ -95,7 +100,7 @@ def _probe_candidates(residual: ResidualGraph, stats: SearchStats) -> list[Candi
         cyc = find_negative_cycle(g, weight=weight)
         if cyc is None:
             continue
-        for simple in split_closed_walk(g, _rotate_closed(g, cyc)):
+        for simple in split_closed_walk(g, cyc):
             out.append(
                 CandidateCycle(
                     edges=tuple(simple),
@@ -104,14 +109,6 @@ def _probe_candidates(residual: ResidualGraph, stats: SearchStats) -> list[Candi
                 )
             )
     return out
-
-
-def _rotate_closed(g, cyc: list[int]) -> list[int]:
-    """Bellman–Ford returns cycles already contiguous and closed; keep as-is.
-
-    Kept as a named hook so the contract is explicit at the call site.
-    """
-    return cyc
 
 
 def _has_type0(candidates: list[CandidateCycle]) -> bool:
@@ -139,14 +136,14 @@ def find_bicameral_cycle(
     :func:`~repro.core.auxgraph.build_aux_shifted`) swaps in a cached
     construction — :meth:`repro.perf.IncrementalSearch.aux_provider` —
     whose outputs are bit-identical to a fresh build, so the sweep's
-    control flow and every LP input are unchanged.
+    control flow and every ratio-search input are unchanged.
 
     Telemetry: runs under a ``search.bicameral`` span and flushes the
-    per-call work (probes, LP solves, aux-graph sizes, candidates found)
+    per-call work (probes, ratio searches, aux-graph sizes, candidates found)
     into ``search.*`` / ``bicameral.*`` counters on exit. Documented in
     detail on :func:`_find_bicameral_cycle_impl`. With a ``meter``, the
     sweep charges auxiliary-graph nodes against the budget's node cap and
-    checks the deadline between LP solves; a trip raises
+    checks the deadline between ratio searches; a trip raises
     :class:`~repro.errors.BudgetExhaustedError` (counters still flush).
     """
     stats = stats if stats is not None else SearchStats()
@@ -292,11 +289,11 @@ def _find_bicameral_cycle_impl(
         # the positive one did not already yield an accepted pick.
         for sign in (+1, -1):
             if meter is not None:
-                meter.check("search.ratio_lp")
-            x = solve_ratio_lp(aux, sign)
+                meter.check("search.ratio_cycle")
+            cyc = min_ratio_cycle(aux, sign)
             stats.lp_solves += 1
-            if x is not None:
-                for cand in candidates_from_circulation(aux, g, x):
+            if cyc is not None:
+                for cand in candidates_from_cycles(aux, g, [cyc]):
                     key = tuple(sorted(cand.edges))
                     if key not in seen:
                         seen.add(key)
@@ -356,7 +353,7 @@ def find_bicameral_candidates(
         Optional instrumentation sink.
     meter:
         Optional armed budget; the sweep charges auxiliary-graph nodes
-        and checks the deadline between LP solves (a trip raises
+        and checks the deadline between ratio searches (a trip raises
         :class:`~repro.errors.BudgetExhaustedError`).
 
     Returns a deduplicated candidate list; possibly empty (no bicameral
@@ -406,12 +403,12 @@ def _find_bicameral_candidates_impl(
             meter.charge_search_nodes(aux.graph.n, "search.candidates_full")
         for sign in (+1, -1):
             if meter is not None:
-                meter.check("search.candidates_full.lp")
-            x = solve_ratio_lp(aux, sign)
+                meter.check("search.candidates_full.ratio")
+            cyc = min_ratio_cycle(aux, sign)
             stats.lp_solves += 1
-            if x is None:
+            if cyc is None:
                 continue
-            for cand in candidates_from_circulation(aux, g, x):
+            for cand in candidates_from_cycles(aux, g, [cyc]):
                 key = tuple(sorted(cand.edges))
                 if key not in seen:
                     seen.add(key)

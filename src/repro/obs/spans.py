@@ -2,7 +2,7 @@
 
 A *span* is one timed region of solver work. Spans nest: a thread-local
 stack links each span to its enclosing one, so a trace reconstructs the
-call-tree shape of a run (phase-1 LP inside the solve, ratio-LP solves
+call-tree shape of a run (phase-1 LP inside the solve, ratio searches
 inside the bicameral sweep, ...). Usable both ways::
 
     with span("krsp.phase1"):

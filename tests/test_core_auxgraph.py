@@ -8,11 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import build_aux_paper, build_aux_shifted, build_residual
-from repro.core.auxlp import (
-    candidates_from_circulation,
-    peel_fractional_cycles,
-    solve_ratio_lp,
-)
 from repro.errors import GraphError
 from repro.graph import from_edges, gnp_digraph, to_networkx, uniform_weights
 from repro.graph.validate import is_cycle

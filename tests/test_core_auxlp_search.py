@@ -1,9 +1,13 @@
-"""Tests for the ratio LP, fractional peeling, and the search driver."""
+"""Tests for the exact ratio search, fractional peeling, and the search driver."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
+from repro import obs
 from repro.core import (
     CycleType,
     build_aux_shifted,
@@ -12,11 +16,21 @@ from repro.core import (
     find_bicameral_candidates,
     find_bicameral_cycle,
 )
-from repro.core.auxlp import candidates_from_circulation, peel_fractional_cycles, solve_ratio_lp
+from repro.core.auxgraph import AuxGraph
+from repro.core.auxlp import (
+    MASS_CAP,
+    candidates_from_cycles,
+    circulation_edges,
+    min_ratio_cycle,
+    peel_fractional_cycles,
+)
 from repro.core.search import SearchStats
-from repro.graph import from_edges, gnp_digraph, uniform_weights, anticorrelated_weights
+from repro.errors import BudgetExhaustedError, SolverError
+from repro.graph import DiGraph, from_edges, gnp_digraph, anticorrelated_weights
 from repro.graph.validate import is_cycle
+from repro.robustness.budget import SolveBudget, metered
 from repro._util.intmath import ratio_cmp
+from tests.ratio_oracle import solve_ratio_lp
 
 
 @pytest.fixture
@@ -33,14 +47,36 @@ def tradeoff_residual():
     return g, ids, build_residual(g, [0, 1])
 
 
+def _full_radius(res):
+    return build_aux_shifted(res.graph, int(np.abs(res.graph.cost).sum()))
+
+
+def _ratio_candidates(aux, res, sign):
+    cyc = min_ratio_cycle(aux, sign)
+    return None if cyc is None else candidates_from_cycles(aux, res.graph, [cyc])
+
+
+def _ratio_of(aux, cyc, sign) -> tuple[int, int]:
+    """``(d(C), W(C))`` of an H-cycle: delay, and |wrap cost| on chosen wraps."""
+    wraps = aux.wrap_cost[cyc]
+    return int(aux.graph.delay[cyc].sum()), int(np.abs(wraps[wraps * sign > 0]).sum())
+
+
+def _hand_aux(tail, head, delay, wrap_cost):
+    """An aux graph given edge by edge (non-wraps map to residual edge i)."""
+    wrap_cost = np.asarray(wrap_cost)
+    m, n = len(tail), max(max(tail), max(head)) + 1
+    g = DiGraph(n, tail, head, np.zeros(m, dtype=np.int64), np.asarray(delay))
+    orig_eid = np.where(wrap_cost == 0, np.arange(m), -1)
+    return AuxGraph(g, n, 1, 0, 1, orig_eid, wrap_cost)
+
+
 class TestRatioLp:
+    """The ratio search over the shifted graph (formerly the ratio LP)."""
+
     def test_finds_positive_cost_cycle(self, tradeoff_residual):
         g, ids, res = tradeoff_residual
-        B = int(np.abs(res.graph.cost).sum())
-        aux = build_aux_shifted(res.graph, B)
-        x = solve_ratio_lp(aux, +1)
-        assert x is not None
-        cands = candidates_from_circulation(aux, res.graph, x)
+        cands = _ratio_candidates(_full_radius(res), res, +1)
         assert cands
         # The reroute cycle: 2,3 forward + 0,1 reversed = cost 8, delay -16.
         best = min(cands, key=lambda c: c.delay / c.cost if c.cost > 0 else 0)
@@ -51,20 +87,16 @@ class TestRatioLp:
         # Flip the solution: now the pricey path is held, so the cycle that
         # swaps back has negative cost.
         res2 = build_residual(g, [2, 3])
-        aux = build_aux_shifted(res2.graph, int(np.abs(res2.graph.cost).sum()))
-        x = solve_ratio_lp(aux, -1)
-        assert x is not None
-        cands = candidates_from_circulation(aux, res2.graph, x)
-        assert any(c.cost < 0 for c in cands)
+        cands = _ratio_candidates(_full_radius(res2), res2, -1)
+        assert cands and any(c.cost < 0 for c in cands)
 
     def test_none_when_no_cycles(self):
         g, ids = from_edges([("s", "a", 1, 1), ("a", "t", 1, 1)])
         res = build_residual(g, [])
-        aux = build_aux_shifted(res.graph, 2)
-        assert solve_ratio_lp(aux, +1) is None
+        assert min_ratio_cycle(build_aux_shifted(res.graph, 2), +1) is None
 
     def test_ratio_optimality(self):
-        """LP finds a min-ratio cycle among several options."""
+        """The search finds a min-ratio cycle among several options."""
         g, ids = from_edges(
             [
                 ("s", "a", 1, 6),  # 0 in solution
@@ -76,14 +108,129 @@ class TestRatioLp:
             ]
         )
         res = build_residual(g, [0, 1])
-        aux = build_aux_shifted(res.graph, int(np.abs(res.graph.cost).sum()))
-        x = solve_ratio_lp(aux, +1)
-        cands = candidates_from_circulation(aux, res.graph, x)
+        cands = _ratio_candidates(_full_radius(res), res, +1)
         pos = [c for c in cands if c.cost > 0 and c.delay < 0]
         assert pos
         best = min(pos, key=lambda c: c.delay / c.cost)
         # Best ratio is reroute A: -10/2 = -5.
         assert ratio_cmp(best.delay, best.cost, -10, 2) <= 0
+
+
+class TestMinRatioCycle:
+    """Hand-built cases for each step of the Newton search."""
+
+    def test_no_chosen_wrap_returns_none_without_a_pass(self):
+        # 0 <-> 1 closed only by a -2 wrap: nothing for the + sign.
+        aux = _hand_aux([0, 1], [1, 0], [-3, 0], [0, -2])
+        with obs.session() as tel:
+            assert min_ratio_cycle(aux, +1) is None
+            snap = obs.snapshot()
+        assert snap.get("search.ratio.skipped") == 1
+        assert "search.ratio.newton_steps" not in snap
+        assert "search.ratio_cycle" not in {s.name for s in tel.spans}
+        assert sorted(min_ratio_cycle(aux, -1)) == [0, 1]
+
+    def test_cost_zero_negative_delay_cycle_comes_first(self):
+        # 0 <-> 1 is a wrap-free cycle of delay -1 (cost 0, type 0); the
+        # wrap cycle 0 -> 2 -> 0 has the far better ratio -50/1, and the
+        # start pass meets it first.
+        aux = _hand_aux([0, 1, 0, 2], [1, 0, 2, 0], [-2, 1, -50, 0], [0, 0, 0, 1])
+        with obs.session():
+            cyc = min_ratio_cycle(aux, +1)
+            snap = obs.snapshot()
+        assert sorted(cyc) == [0, 1]
+        assert snap.get("search.ratio.zero_cost_cycles") == 1
+
+    def test_tie_returns_an_optimal_ratio(self):
+        # Three wrap cycles through vertex 0: ratios -5/1, -10/2 (tied
+        # optimum) and -6/3.
+        aux = _hand_aux(
+            [0, 1, 0, 2, 0, 3],
+            [1, 0, 2, 0, 3, 0],
+            [-5, 0, -10, 0, -6, 0],
+            [0, 1, 0, 2, 0, 3],
+        )
+        cyc = min_ratio_cycle(aux, +1)
+        d, w = _ratio_of(aux, cyc, +1)
+        assert Fraction(d, w) == -5
+
+    def test_start_cycle_needs_a_newton_step(self):
+        # Under d - M*W the start pass prefers the cycle with the most wrap
+        # cost (ratio -10/16); the optimum (-10/2) takes a Newton step.
+        g, ids = from_edges(
+            [
+                ("s", "a", 1, 6),
+                ("a", "t", 1, 6),
+                ("s", "b", 2, 1),
+                ("b", "t", 2, 1),
+                ("s", "c", 9, 1),
+                ("c", "t", 9, 1),
+            ]
+        )
+        res = build_residual(g, [0, 1])
+        aux = _full_radius(res)
+        with obs.session():
+            cyc = min_ratio_cycle(aux, +1)
+            snap = obs.snapshot()
+        assert Fraction(*_ratio_of(aux, cyc, +1)) == Fraction(-10, 2)
+        assert snap.get("search.ratio.newton_steps", 0) >= 2
+
+    def test_parallel_edges(self):
+        # Two parallel 0 -> 1 edges closed by one +1 wrap: the component
+        # pass must merge them (scipy's never returns on a CSR row with a
+        # duplicate entry), and the search takes the faster one.
+        aux = _hand_aux([0, 0, 1], [1, 1, 0], [-4, -7, 0], [0, 0, 1])
+        assert circulation_edges(aux, +1).all()
+        assert sorted(min_ratio_cycle(aux, +1)) == [1, 2]
+
+    def test_weights_that_could_overflow_int64_raise(self):
+        # d = -2^60 on a 2-vertex cycle: the start weights d - M*W reach
+        # 2^61, and 3 * 2^61 distances no longer fit the int64 headroom.
+        aux = _hand_aux([0, 1], [1, 0], [-(1 << 60), 0], [0, 1])
+        with pytest.raises(SolverError, match="int64"):
+            min_ratio_cycle(aux, +1)
+
+    def test_armed_deadline_stops_the_search(self, tradeoff_residual):
+        g, ids, res = tradeoff_residual
+        aux = _full_radius(res)
+        meter = SolveBudget(deadline_seconds=0.0).start()
+        with metered(meter), pytest.raises(BudgetExhaustedError) as info:
+            min_ratio_cycle(aux, +1)
+        assert info.value.reason == "deadline"
+        assert "search.ratio_cycle" in str(info.value)
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(4, 10),
+        p=st.sampled_from([0.25, 0.35, 0.45, 0.6]),
+    )
+    def test_newton_matches_lp_oracle(self, seed, n, p):
+        g = anticorrelated_weights(gnp_digraph(n, p, rng=seed), rng=seed + 1)
+        res = build_residual(g, [int(e) for e in range(0, g.m, 3)])
+        note(f"seed={seed} n={n} p={p} residual m={res.graph.m}")
+        for B in (1, 2, 5):
+            aux = build_aux_shifted(res.graph, B)
+            for sign in (+1, -1):
+                cyc = min_ratio_cycle(aux, sign)
+                x = solve_ratio_lp(aux, sign)
+                note(f"B={B} sign={sign} cycle={cyc}")
+                assert (cyc is None) == (x is None)
+                if cyc is None:
+                    continue
+                assert is_cycle(aux.graph, cyc)
+                assert circulation_edges(aux, sign)[cyc].all()
+                # Summed exactly: the oracle may park MASS_CAP mass on a
+                # zero-delay cost-0 cycle, whose terms must cancel to 0.
+                fun = math.fsum(aux.graph.delay * x)
+                d, w = _ratio_of(aux, cyc, sign)
+                note(f"  newton d={d} W={w}; oracle fun={fun}")
+                if w == 0:
+                    # A cost-0 negative-delay cycle: the oracle's optimum
+                    # rides it up to the mass cap.
+                    assert d < 0 and fun < -MASS_CAP / 2
+                else:
+                    assert float(Fraction(d, w)) == pytest.approx(fun, abs=1e-9)
 
 
 class TestPeel:

@@ -108,11 +108,11 @@ class TestFailureInjection:
         res = build_residual(g, [0, 1])
         monkeypatch.setattr(engine, "_run_highs", _failing_solve("injected failure"))
         from repro.core.auxgraph import build_aux_shifted
-        from repro.core.auxlp import solve_ratio_lp
+        from repro.core.auxlp import solve_lp6
 
         aux = build_aux_shifted(res.graph, 8)
         with pytest.raises(SolverError, match="injected"):
-            solve_ratio_lp(aux, +1)
+            solve_lp6(aux, -1)
 
     def test_milp_failure_surfaces_as_solver_error(self, monkeypatch):
         import scipy.optimize

@@ -7,8 +7,9 @@ Three layers of guarantees:
    ``scipy.optimize.linprog`` calls it replaced return (same assembly,
    same method, same options): byte-equal ``x``, ``fun``, ``nit``, status
    and inequality duals for the ratio LP, the flow LP and LP (6),
-   including time-limited and infeasible solves. ``solve_ratio_lp``
-   gives the engine only the circulation edges of its aux graph, and
+   including time-limited and infeasible solves. The ratio LP is the
+   test oracle of the exact ratio search (``tests/ratio_oracle.py``);
+   it gives the engine only the circulation edges of its aux graph, and
    must agree with the full LP on status and objective.
 2. **The private HiGHS surface** — the engine imports a private scipy
    module; a scipy upgrade that moves or trims it must fail loudly here,
@@ -35,13 +36,14 @@ import scipy.sparse as sp
 from repro import obs
 from repro.core import solve_krsp
 from repro.core.auxgraph import AuxGraph, build_aux_shifted
-from repro.core.auxlp import MASS_CAP, circulation_edges, solve_lp6, solve_ratio_lp
+from repro.core.auxlp import MASS_CAP, circulation_edges, solve_lp6
 from repro.core.residual import build_residual
 from repro.graph import DiGraph, anticorrelated_weights, gnp_digraph
 from repro.lp import engine as eng
 from repro.lp.engine import LPResult, count_pivots, get_engine
 from repro.lp.flow_lp import incidence_matrix, solve_flow_lp
 from repro.perf.auxcache import AuxCache
+from tests.ratio_oracle import solve_ratio_lp
 
 
 def _residual(seed: int, n: int = 9, p: float = 0.45):
