@@ -26,17 +26,17 @@ deterministic telemetry-counter snapshot of each, and enforces two gates:
 
 The search-layer speedup deliberately excludes the HiGHS LP solves: LP time
 dominates end-to-end runs, so gating the ratio there would measure the LP
-solver, not the incremental engine. The LP solver itself is gated
-separately (PR 9):
+solver, not the incremental engine. The layers that replaced the LPs are
+gated by deterministic counters instead (enforced in every mode, including
+``--quick`` — counters don't depend on hardware):
 
-* **LP engine gate** — the LP engine (:mod:`repro.lp.engine`) is
-  held to a deterministic ``lp.pivots`` ceiling on the E5 cancellation
-  kernel (enforced in every mode, including ``--quick`` — counters don't
-  depend on hardware). Since the ratio search left HiGHS, E5 runs only
-  phase-1 flow LPs and this ceiling passes trivially.
+* **Flow-LP gate** — the default solve takes its phase-1 start and its
+  exact lower bound from Lagrangian min-cost flows, so the E7 full-solver
+  kernel must make no ``lp.flow_lp.solves`` at all. (This replaced an E5
+  ``lp.pivots`` ceiling that passed at 0 once the ratio search left HiGHS.)
 * **Ratio search gate** — the exact ratio search
   (:func:`repro.core.auxlp.min_ratio_cycle`) is held to a deterministic
-  ``search.ratio.newton_steps`` ceiling on the same kernel, so a change
+  ``search.ratio.newton_steps`` ceiling on the E5 cancellation kernel, so a change
   that makes the Newton iteration converge more slowly fails in every
   mode.
 
@@ -78,13 +78,11 @@ SPEEDUP_FLOORS = {
     "e10_online_resolve": 2.0,
 }
 
-# Deterministic simplex-pivot ceilings per kernel. The engine's
-# answers are byte-identical to the pre-engine scipy solver, so the E5
-# ceiling is the measurement in BENCH_PR4.json (95,746) plus ~5% headroom for
-# scipy-version drift. Enforced in every mode including --quick: counters
-# are machine-independent.
-PIVOT_CEILINGS = {
-    "e5_cancellation": 100_534,
+# Deterministic flow-LP ceilings per kernel: the default phase-1 provider
+# and lower bound solve no HiGHS flow LP. Enforced in every mode including
+# --quick: counters are machine-independent.
+FLOW_LP_CEILINGS = {
+    "e7_solver": 0,
 }
 # Deterministic Newton-step ceilings per kernel: the E5 measurement when
 # the ratio search replaced the ratio LP (106 passes over 28 searches that
@@ -465,20 +463,20 @@ def run_gate(args) -> int:
                     )
         print(line)
 
-    # -- LP engine gate: deterministic pivot ceilings
-    report["lp_engine"] = {
-        "pivots": {
-            name: entry["counters"].get("lp.pivots", 0)
+    # -- flow-LP gate: deterministic solve-count ceilings
+    report["flow_lp"] = {
+        "solves": {
+            name: entry["counters"].get("lp.flow_lp.solves", 0)
             for name, entry in report["kernels"].items()
         },
-        "ceilings": PIVOT_CEILINGS,
+        "ceilings": FLOW_LP_CEILINGS,
     }
-    for kname, ceiling in PIVOT_CEILINGS.items():
-        pivots = report["kernels"][kname]["counters"].get("lp.pivots", 0)
-        print(f"{kname:18s} lp.pivots {pivots:9d} (ceiling {ceiling})")
-        if pivots > ceiling:
+    for kname, ceiling in FLOW_LP_CEILINGS.items():
+        solves = report["flow_lp"]["solves"][kname]
+        print(f"{kname:18s} lp.flow_lp.solves {solves:5d} (ceiling {ceiling})")
+        if solves > ceiling:
             failures.append(
-                f"{kname}: lp.pivots {pivots} exceeds the ceiling {ceiling}"
+                f"{kname}: lp.flow_lp.solves {solves} exceeds the ceiling {ceiling}"
             )
 
     # -- ratio search gate: deterministic Newton-step ceilings

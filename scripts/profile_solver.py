@@ -23,6 +23,7 @@ import argparse
 
 from repro import obs
 from repro.core import solve_krsp
+from repro.core.phase1 import DEFAULT_PROVIDER, PROVIDERS
 from repro.errors import ReproError
 from repro.eval.workloads import er_anticorrelated
 from repro.obs.report import Trace, render_report
@@ -33,7 +34,7 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=14)
     parser.add_argument("--instances", type=int, default=5)
     parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--phase1", default="lp_rounding")
+    parser.add_argument("--phase1", default=DEFAULT_PROVIDER, choices=list(PROVIDERS))
     parser.add_argument("--top", type=int, default=15,
                         help="rows in the hot-span tree")
     parser.add_argument("--trace", default=None, metavar="OUT.JSONL",

@@ -74,6 +74,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.krsp import solve_krsp
+from repro.core.phase1 import DEFAULT_PROVIDER, PROVIDERS
 from repro.errors import (
     InfeasibleInstanceError,
     InputError,
@@ -766,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a JSON instance")
     p_solve.add_argument("instance", help="instance JSON path")
-    p_solve.add_argument("--phase1", default="lp_rounding",
-                         choices=["lp_rounding", "lagrangian", "minsum"])
+    p_solve.add_argument("--phase1", default=DEFAULT_PROVIDER,
+                         choices=list(PROVIDERS))
     p_solve.add_argument("--eps", type=float, default=None,
                          help="run the (1+eps, 2+eps) polynomial variant")
     p_solve.add_argument("--verify", action="store_true",

@@ -36,6 +36,7 @@ from repro.core.phase1 import (
     PROVIDERS,
     Phase1Result,
     phase1_lagrangian,
+    phase1_lagrangian_lemma5,
     phase1_lp_rounding,
     phase1_minsum,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "PROVIDERS",
     "Phase1Result",
     "phase1_lagrangian",
+    "phase1_lagrangian_lemma5",
     "phase1_lp_rounding",
     "phase1_minsum",
     "CancellationResult",

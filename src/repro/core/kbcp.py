@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.krsp import KRSPSolution, solve_krsp
+from repro.core.phase1 import DEFAULT_PROVIDER
 from repro.errors import InfeasibleInstanceError
 from repro.graph.digraph import DiGraph
 
@@ -65,7 +66,7 @@ def solve_kbcp(
     cost_bound: int,
     delay_bound: int,
     eps: tuple[float, float] | float | None = None,
-    phase1: str = "lp_rounding",
+    phase1: str = DEFAULT_PROVIDER,
 ) -> KBCPSolution:
     """Approximate kBCP via the kRSP engine.
 

@@ -4,8 +4,8 @@
 
 1. structural feasibility (``k`` disjoint paths at all?) via max-flow;
 2. optional Theorem-4 epsilon-scaling (polynomial mode);
-3. a phase-1 provider (LP rounding by default — the paper's Algorithm 1
-   step 1);
+3. a phase-1 provider (Lemma 5 from exact Lagrangian k-flows by default —
+   the paper's Algorithm 1 step 1, without an LP);
 4. the bicameral cycle-cancellation loop (Algorithm 1 step 2).
 
 The returned :class:`KRSPSolution` carries the paths, exact totals, the
@@ -29,12 +29,20 @@ from repro.core.cancellation import (
     cancel_to_feasibility,
 )
 from repro.core.instance import KRSPInstance, PathSet
-from repro.core.phase1 import PROVIDERS, Phase1Result
+from repro.core.phase1 import (
+    DEFAULT_PROVIDER,
+    PROVIDERS,
+    KFlow,
+    Phase1Result,
+    fastest_flow,
+)
 from repro.core.scaling import scale_instance
 from repro.errors import BudgetExhaustedError, GraphError, InfeasibleInstanceError
 from repro.flow.maxflow import has_k_disjoint_paths
 from repro.lp.flow_lp import solve_flow_lp
-from repro.flow.mincost import min_cost_k_flow
+# Bound here as well for layer tracers (perfbench/tracer.py) that wrap this
+# module's flow calls; the solve reaches it through phase 1's fastest_flow.
+from repro.flow.mincost import min_cost_k_flow  # noqa: F401
 from repro.flow.decompose import decompose_flow, strip_improving_cycles
 from repro.graph.digraph import DiGraph
 from repro.robustness.anytime import (
@@ -64,8 +72,8 @@ class KRSPSolution:
         ``delay <= D``. Always true without scaling; with scaling the
         guarantee is ``delay <= (1 + eps1) * D``.
     cost_lower_bound:
-        Certified ``<= C_OPT`` — the max of the phase-1 bound and the
-        flow-LP optimum (``None`` only after scaling, where scaled-unit
+        Certified ``<= C_OPT`` — the flow-LP optimum, exact from the
+        default provider (``None`` only after scaling, where scaled-unit
         bounds do not map back).
     iterations:
         Cancellation steps taken.
@@ -112,24 +120,18 @@ class KRSPSolution:
 
 
 def _cost_cap_upper_bound(
-    inst: KRSPInstance,
+    inst: KRSPInstance, fastest: KFlow
 ) -> tuple[int, list[list[int]]] | None:
     """Cheapest delay-feasible flow: a certified C_OPT upper bound.
 
-    Found by minimizing delay (cost tie-broken); if even that flow misses
-    the budget the instance is infeasible and the caller will discover it,
-    so return ``None`` (cap disabled). Returns ``(cost, paths)`` — the
-    witnessing paths double as the anytime layer's preferred degraded
-    answer (delay-feasible by construction).
+    ``fastest`` is the instance's min-delay flow (cost tie-broken); if even
+    that flow misses the budget the instance is infeasible and the caller
+    will discover it, so return ``None`` (cap disabled). Returns
+    ``(cost, paths)`` — the witnessing paths double as the anytime layer's
+    preferred degraded answer (delay-feasible by construction).
     """
     g = inst.graph
-    big = g.total_cost() + 1
-    res = min_cost_k_flow(
-        g, inst.s, inst.t, inst.k, weight=g.delay * big + g.cost
-    )
-    if res is None:
-        return None
-    eids = np.nonzero(res.used)[0]
+    eids = np.nonzero(fastest.used)[0]
     paths, _ = decompose_flow(g, eids, inst.s, inst.t)
     flat = [e for p in paths for e in p]
     if g.delay_of(flat) > inst.delay_bound:
@@ -143,7 +145,7 @@ def solve_krsp(
     t: int,
     k: int,
     delay_bound: int,
-    phase1: str = "lp_rounding",
+    phase1: str = DEFAULT_PROVIDER,
     eps: tuple[float, float] | float | None = None,
     b_max: int | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
@@ -160,8 +162,10 @@ def solve_krsp(
     g, s, t, k, delay_bound:
         The instance (Definition 2).
     phase1:
-        Provider name: ``"lp_rounding"`` (paper default), ``"lagrangian"``,
-        or ``"minsum"``.
+        Provider name (:data:`repro.core.phase1.PROVIDERS`):
+        ``"lagrangian_lemma5"`` (default; Lemma 5 and the exact flow-LP
+        bound from integer flows), ``"lp_rounding"`` (the paper's LP
+        rounding), ``"lagrangian"`` or ``"minsum"``.
     eps:
         ``None`` runs the pseudo-polynomial Lemma-3 algorithm (bifactor
         ``(1, 2)``); a float or ``(eps1, eps2)`` pair runs the Theorem-4
@@ -186,8 +190,9 @@ def solve_krsp(
     checkpoint_hook:
         Crash-safety seam
         (:class:`repro.robustness.checkpointing.CheckpointHook`): writes
-        the write-ahead journal prelude after the LP phases and hands the
-        per-iteration/snapshot hooks to the cancellation loop. Use
+        the write-ahead journal prelude after phase 1 and the bound steps
+        and hands the per-iteration/snapshot hooks to the cancellation
+        loop. Use
         :func:`repro.robustness.checkpointing.solve_checkpointed` rather
         than constructing one by hand.
 
@@ -251,15 +256,17 @@ def _solve_krsp_impl(
         # Exact feasibility oracle: the minimum total delay over k disjoint
         # paths is a plain min-cost-flow problem under the delay weight; if
         # even that exceeds D, no solution exists and the cancellation loop
-        # must never start.
-        min_delay_flow = min_cost_k_flow(g, s, t, k, weight=g.delay)
-        if min_delay_flow is not None and min_delay_flow.weight > delay_bound:
+        # must never start. The flow is cost tie-broken, so the cost cap and
+        # the Lagrangian phase 1 reuse it.
+        min_delay_flow = fastest_flow(inst)
+        if min_delay_flow.delay > delay_bound:
             raise InfeasibleInstanceError(
-                f"minimum achievable total delay {min_delay_flow.weight} "
+                f"minimum achievable total delay {min_delay_flow.delay} "
                 f"exceeds the budget {delay_bound}"
             )
 
     work_inst = inst
+    work_fastest = min_delay_flow
     scaled = False
     theta = None
     lower_bound: Fraction | None = None
@@ -288,39 +295,44 @@ def _solve_krsp_impl(
                     theta = scale_instance(inst, eps1, eps2, c_hat)
                     work_inst = theta.instance
                     scaled = True
+                    # Phase 1 and the cost cap need the scaled instance's
+                    # own min-delay flow.
+                    work_fastest = fastest_flow(work_inst)
 
             with timer.section("phase1"):
                 provider = PROVIDERS[phase1]
-                p1 = provider(work_inst)
+                p1 = provider(work_inst, work_fastest)
 
             with timer.section("lower_bound"):
-                # The flow-LP optimum is usually the tightest certified lower
-                # bound and is cheap next to one auxiliary-graph solve; the
-                # tighter the bound, the earlier the bicameral sweep can stop
-                # (rate tests certify sooner). Combine it with whatever
-                # phase 1 learned. The lp_rounding provider already solved
-                # this exact LP; reuse its answer.
+                # The flow-LP optimum is the tightest certified lower bound
+                # phase 1 can offer; the tighter the bound, the earlier the
+                # bicameral sweep can stop (rate tests certify sooner). The
+                # Lagrangian providers usually end on it exactly; otherwise
+                # solve the LP (lp_rounding already did; reuse its answer).
                 lower_bound = p1.cost_lower_bound
-                lp = p1.flow_lp or solve_flow_lp(
-                    work_inst.graph,
-                    work_inst.s,
-                    work_inst.t,
-                    work_inst.k,
-                    work_inst.delay_bound,
-                )
-                if lp is None:
-                    raise InfeasibleInstanceError(
-                        "delay-budgeted flow LP infeasible"
+                if not p1.bound_is_lp_optimum:
+                    lp = p1.flow_lp or solve_flow_lp(
+                        work_inst.graph,
+                        work_inst.s,
+                        work_inst.t,
+                        work_inst.k,
+                        work_inst.delay_bound,
                     )
-                # Shave solver tolerance so float noise can never push the
-                # "certified" bound above the true optimum.
-                lp_bound = Fraction(max(0.0, lp.cost - 1e-6)).limit_denominator(10**9)
-                lower_bound = (
-                    lp_bound if lower_bound is None else max(lower_bound, lp_bound)
-                )
+                    if lp is None:
+                        raise InfeasibleInstanceError(
+                            "delay-budgeted flow LP infeasible"
+                        )
+                    # Shave solver tolerance so float noise can never push
+                    # the "certified" bound above the true optimum.
+                    lp_bound = Fraction(max(0.0, lp.cost - 1e-6)).limit_denominator(10**9)
+                    # lp_rounding's own bound is this LP's unshaved float;
+                    # only a bound found without the LP may raise the shaved one.
+                    if p1.flow_lp is None and lower_bound is not None:
+                        lp_bound = max(lower_bound, lp_bound)
+                    lower_bound = lp_bound
 
             with timer.section("cost_cap"):
-                cap_res = _cost_cap_upper_bound(work_inst)
+                cap_res = _cost_cap_upper_bound(work_inst, work_fastest)
                 cap = cap_paths = None
                 if cap_res is not None:
                     cap, cap_paths = cap_res
@@ -330,15 +342,15 @@ def _solve_krsp_impl(
                     cap = opt_cost if cap is None else min(cap, opt_cost)
 
             if checkpoint_hook is not None:
-                # Durable prelude: everything the loop needs that the LP
-                # phases computed, so a resume never re-runs them.
+                # Durable prelude: everything the loop needs that phase 1
+                # and the bound steps computed, so a resume never re-runs them.
                 checkpoint_hook.write_prelude(
                     provider=p1.provider,
                     p1_solution=p1.solution,
                     lower_bound=lower_bound,
                     cost_cap=cap,
                     cap_paths=cap_paths,
-                    min_delay_flow=min_delay_flow,
+                    min_delay=min_delay_flow.delay,
                 )
 
             with timer.section("cancel"):

@@ -2,22 +2,28 @@
 
 The cancellation phase (phase 2) starts from *some* k disjoint paths and
 repairs the delay overshoot. The paper's Algorithm 1 step 1 uses the
-LP-rounding algorithm of [9] (Lemma 5); this module offers that plus two
-alternatives with different invariants, selectable by name:
+LP-rounding algorithm of [9] (Lemma 5); this module offers that guarantee
+two ways, plus two alternatives with different invariants, selectable by
+name:
 
-``"lp_rounding"`` (default, the paper's choice)
-    Solve the delay-budgeted flow LP, round score-monotonically
+``"lagrangian_lemma5"`` (default)
+    Lemma 5 from integer flows: the flow LP has one side constraint over
+    an integral polytope, so LARAC over exact min-cost k-flows reaches its
+    optimum. The two flows at the optimal multiplier bracket ``D``, and
+    the one with the smaller ``delay/D + cost/C_LP`` scores at most 2.
+    Its bound is the exact dual value, equal to ``C_LP``; no LP is solved.
+
+``"lp_rounding"`` (the paper's reference)
+    Solve the delay-budgeted flow LP in HiGHS, round score-monotonically
     (:mod:`repro.lp.basis`). Guarantee: ``delay/D + cost/C_LP <= 2``
     — exactly Lemma 5's ``(alpha, 2 - alpha)`` trade-off. Also certifies
-    fractional infeasibility and yields the ``C_LP`` lower bound reused by
-    the bicameral rate tests.
+    fractional infeasibility and yields the (float) ``C_LP`` lower bound.
 
 ``"lagrangian"``
-    LARAC lifted to k-flows: binary-search the multiplier ``lambda`` over
-    exact min-cost k-flows under the blended weight ``c + lambda*d``.
-    Returns the *cheap-but-slow* crossing flow, which satisfies
-    ``cost <= C_OPT`` outright (the invariant Lemma 11's induction wants),
-    or the feasible optimum when one of the extremes already fits.
+    The same LARAC walk, returning the *cheap-but-slow* crossing flow,
+    which satisfies ``cost <= C_OPT`` outright (the invariant Lemma 11's
+    induction wants), or the feasible optimum when the min-cost flow
+    already fits.
 
 ``"minsum"``
     Suurballe by cost, ignoring delay entirely: ``cost <= C_OPT``
@@ -39,8 +45,7 @@ from repro import obs
 from repro.core.instance import KRSPInstance, PathSet
 from repro.errors import InfeasibleInstanceError, SolverError
 from repro.flow.decompose import decompose_flow, strip_improving_cycles
-from repro.flow.mincost import min_cost_k_flow
-from repro.graph.digraph import DiGraph
+from repro.flow.mincost import lexicographic_weights, min_cost_k_flow
 from repro.lp.basis import round_flow_score_monotone
 from repro.lp.flow_lp import FlowLpResult, solve_flow_lp
 from repro.robustness.budget import checkpoint
@@ -62,12 +67,17 @@ class Phase1Result:
     flow_lp:
         The delay-budgeted flow LP's solution when the provider solved it
         (``lp_rounding``), so the caller's lower-bound step reuses it.
+    bound_is_lp_optimum:
+        ``cost_lower_bound`` is exactly the flow-LP optimum (a min-cost
+        flow that meets ``D``, or a converged Lagrangian dual), so the
+        caller needs no LP for its lower bound.
     """
 
     solution: PathSet
     cost_lower_bound: Fraction | None
     provider: str
     flow_lp: FlowLpResult | None = None
+    bound_is_lp_optimum: bool = False
 
 
 def _paths_from_mask(inst: KRSPInstance, mask: np.ndarray) -> PathSet:
@@ -78,22 +88,17 @@ def _paths_from_mask(inst: KRSPInstance, mask: np.ndarray) -> PathSet:
 
 
 @obs.span("phase1.minsum")
-def phase1_minsum(inst: KRSPInstance) -> Phase1Result:
+def phase1_minsum(inst: KRSPInstance, fastest: KFlow | None = None) -> Phase1Result:
     """Min-cost k disjoint paths, delay-oblivious (cost <= C_OPT)."""
-    res = min_cost_k_flow(inst.graph, inst.s, inst.t, inst.k, weight=inst.graph.cost)
-    if res is None:
-        raise InfeasibleInstanceError(
-            f"fewer than k={inst.k} edge-disjoint s-t paths exist"
-        )
-    sol = _paths_from_mask(inst, res.used)
+    cheap = _cheapest(inst, inst.graph.cost)
     # The delay-oblivious minimum is itself a certified C_OPT lower bound.
     return Phase1Result(
-        solution=sol, cost_lower_bound=Fraction(sol.cost), provider="minsum"
+        solution=cheap.solution, cost_lower_bound=Fraction(cheap.cost), provider="minsum"
     )
 
 
 @obs.span("phase1.lp_rounding")
-def phase1_lp_rounding(inst: KRSPInstance) -> Phase1Result:
+def phase1_lp_rounding(inst: KRSPInstance, fastest: KFlow | None = None) -> Phase1Result:
     """The paper's phase 1 ([9], Lemma 5): LP + score-monotone rounding."""
     g = inst.graph
     lp = solve_flow_lp(g, inst.s, inst.t, inst.k, inst.delay_bound)
@@ -113,76 +118,248 @@ def phase1_lp_rounding(inst: KRSPInstance) -> Phase1Result:
     )
 
 
-@obs.span("phase1.lagrangian")
-def phase1_lagrangian(inst: KRSPInstance, max_iterations: int = 60) -> Phase1Result:
-    """LARAC over k-flows: returns the cheap crossing flow (cost <= C_OPT).
+#: Multiplier steps a Lagrangian provider takes before giving up on
+#: reaching the dual optimum (LARAC usually needs fewer than ten).
+LARAC_MAX_STEPS = 60
 
-    If the min-cost extreme is already delay-feasible it is optimal and
-    returned directly; if even the min-delay extreme violates the budget,
-    phase 2 still gets the best available starting point (the min-delay
-    flow) — Algorithm 1 will then hunt for bicameral cycles or certify
-    infeasibility.
-    """
-    g, s, t, k, D = inst.graph, inst.s, inst.t, inst.k, inst.delay_bound
-    by_cost = min_cost_k_flow(g, s, t, k, weight=g.cost)
-    if by_cost is None:
+
+@dataclass
+class KFlow:
+    """An integral k-flow: its edge mask, exact totals and, once built, paths."""
+
+    used: np.ndarray
+    cost: int
+    delay: int
+    solution: PathSet | None = None
+
+
+def _flow(used: np.ndarray, costs: list[int], delays: list[int]) -> KFlow:
+    eids = np.flatnonzero(used).tolist()
+    return KFlow(used, sum(costs[e] for e in eids), sum(delays[e] for e in eids))
+
+
+def _solution(inst: KRSPInstance, f: KFlow) -> PathSet:
+    return f.solution if f.solution is not None else _paths_from_mask(inst, f.used)
+
+
+def _cheapest(inst: KRSPInstance, weight) -> KFlow:
+    """The k-flow minimizing ``weight`` (a cost order), decomposed into paths."""
+    res = min_cost_k_flow(inst.graph, inst.s, inst.t, inst.k, weight=weight)
+    if res is None:
         raise InfeasibleInstanceError(
             f"fewer than k={inst.k} edge-disjoint s-t paths exist"
         )
-    sol_c = _paths_from_mask(inst, by_cost.used)
-    if sol_c.delay <= D:
-        return Phase1Result(
-            solution=sol_c, cost_lower_bound=Fraction(sol_c.cost), provider="lagrangian"
+    sol = _paths_from_mask(inst, res.used)
+    return KFlow(res.used, sol.cost, sol.delay, sol)
+
+
+def fastest_flow(inst: KRSPInstance) -> KFlow:
+    """The min-delay k-flow, cost tie-broken: one lexicographic
+    ``(delay, cost)`` flow.
+
+    Its delay is the instance's minimum (the feasibility gate of
+    :func:`repro.core.krsp.solve_krsp`), among min-delay flows it is the
+    cheapest (the solver's cost cap), and it is the Lagrangian walk's far
+    endpoint, so a caller that has it passes it to the provider.
+    """
+    g = inst.graph
+    weight, big = lexicographic_weights(g.delay, g.cost)
+    res = min_cost_k_flow(g, inst.s, inst.t, inst.k, weight=weight)
+    if res is None:
+        raise InfeasibleInstanceError(
+            f"fewer than k={inst.k} edge-disjoint s-t paths exist"
         )
+    delay, cost = divmod(res.weight, big)
+    return KFlow(res.used, cost, delay)
 
-    # Min-delay extreme with cost tie-break.
-    big = g.total_cost() + 1
-    by_delay = min_cost_k_flow(g, s, t, k, weight=g.delay * big + g.cost)
-    sol_d = _paths_from_mask(inst, by_delay.used)
 
-    cheap = sol_c  # infeasible delay, cost <= C_OPT
-    fast = sol_d  # smallest possible delay
-    best_bound = Fraction(sol_c.cost)
-    lam = Fraction(0)
-    for _ in range(max_iterations):
-        # Each step is a full min-cost-flow solve; honor an ambient solve
-        # budget between steps (no-op unless a meter is armed).
-        checkpoint("phase1.lagrangian")
-        if cheap.delay == fast.delay:
-            break
-        lam = Fraction(fast.cost - cheap.cost, cheap.delay - fast.delay)
-        if lam <= 0:
-            break
-        w = lam.denominator * g.cost + lam.numerator * g.delay
-        mid = min_cost_k_flow(g, s, t, k, weight=w)
-        if mid is None:  # cannot happen once by_cost succeeded
-            raise SolverError("k-flow vanished during Lagrangian search")
-        sol_m = _paths_from_mask(inst, mid.used)
-        blended = lam.denominator * sol_m.cost + lam.numerator * sol_m.delay
-        best_bound = max(best_bound, Fraction(blended, lam.denominator) - lam * D)
-        blended_cheap = lam.denominator * cheap.cost + lam.numerator * cheap.delay
-        if blended == blended_cheap:
-            break  # multiplier converged
-        if sol_m.delay <= D:
-            fast = sol_m
-        else:
-            cheap = sol_m
+def _larac(
+    inst: KRSPInstance,
+    cheap: KFlow,
+    fast: KFlow,
+    costs: list[int],
+    delays: list[int],
+) -> tuple[KFlow, KFlow, Fraction, bool]:
+    """LARAC over exact min-cost k-flows, from ``cheap`` (a min-cost flow,
+    delay above ``D``) and ``fast`` (the min-delay flow).
 
+    Each step takes ``lambda`` as the slope between the two endpoints and
+    solves the k-flow minimizing the integral blend ``den*c + num*d``
+    (built as Python ints, so no size of cost or delay can overflow). A
+    flow strictly below both endpoints replaces the one on its side of
+    ``D``; a flow that only ties them proves ``lambda`` optimal. The walk
+    gives up after :data:`LARAC_MAX_STEPS` flows.
+
+    Returns ``(cheap, fast, bound, converged)``. ``bound`` is the best
+    Lagrangian dual value ``L(lambda) = min_F c(F) + lambda (d(F) - D)``
+    seen (``L(0)`` is ``cheap.cost``), a certified lower bound on the flow
+    LP and hence on ``C_OPT``. ``converged`` says both endpoints are
+    optimal at the final ``lambda*``. With ``fast.delay <= D <
+    cheap.delay`` the mixture of the two that meets ``D`` exactly is then
+    a flow-LP solution of cost ``L(lambda*)``, so ``bound`` *equals* the
+    flow-LP optimum (one side constraint over an integral polytope).
+    """
+    g, s, t, k, D = inst.graph, inst.s, inst.t, inst.k, inst.delay_bound
+    bound = Fraction(cheap.cost)
+    converged = False
+    steps = 0
+    try:
+        for _ in range(LARAC_MAX_STEPS):
+            # Each step is a full min-cost-flow solve; honor an ambient
+            # solve budget between steps (no-op unless a meter is armed).
+            checkpoint("phase1.larac")
+            if cheap.delay == fast.delay:
+                break
+            lam = Fraction(fast.cost - cheap.cost, cheap.delay - fast.delay)
+            if lam <= 0:
+                # Equal costs: both endpoints are min-cost flows, optimal
+                # at lambda = 0 (a flow below the envelope never makes
+                # the slope negative).
+                converged = True
+                break
+            num, den = lam.numerator, lam.denominator
+            res = min_cost_k_flow(
+                g, s, t, k, weight=[den * c + num * d for c, d in zip(costs, delays)]
+            )
+            steps += 1
+            if res is None:  # cannot happen once the endpoints exist
+                raise SolverError("k-flow vanished during Lagrangian search")
+            bound = max(bound, Fraction(res.weight, den) - lam * D)
+            if res.weight == den * cheap.cost + num * cheap.delay:
+                converged = True
+                break
+            mid = _flow(res.used, costs, delays)
+            if mid.delay <= D:
+                fast = mid
+            else:
+                cheap = mid
+    finally:
+        obs.add("phase1.larac.steps", steps)
+    return cheap, fast, bound, converged
+
+
+@obs.span("phase1.lagrangian")
+def phase1_lagrangian(
+    inst: KRSPInstance, fastest: KFlow | None = None
+) -> Phase1Result:
+    """LARAC over k-flows: returns the cheap crossing flow (cost <= C_OPT).
+
+    If the min-cost extreme is already delay-feasible it is optimal and
+    returned directly. If even the min-delay extreme violates the budget
+    (an infeasible instance, which :func:`repro.core.krsp.solve_krsp`
+    rejects before phase 1), the walk still returns its last crossing
+    flow and phase 2 certifies infeasibility. ``fastest`` is the
+    instance's :func:`fastest_flow` when the caller already solved it.
+    """
+    g, D = inst.graph, inst.delay_bound
+    cheap = _cheapest(inst, g.cost)
+    if cheap.delay <= D:
+        return Phase1Result(
+            solution=cheap.solution,
+            cost_lower_bound=Fraction(cheap.cost),
+            provider="lagrangian",
+            bound_is_lp_optimum=True,
+        )
+    costs, delays = g.cost.tolist(), g.delay.tolist()
+    cheap, fast, bound, converged = _larac(
+        inst, cheap, fastest or fastest_flow(inst), costs, delays
+    )
     # Return the cheap crossing flow: its `cost <= C_OPT` invariant is what
     # Lemma 11's induction leans on; phase 2 repairs the delay overshoot.
-    # Both `best_bound` (Lagrangian dual values) and `cheap.cost` (a
+    # Both `bound` (Lagrangian dual values) and `cheap.cost` (a
     # delay-infeasible flow's cost never exceeds the feasible optimum's)
     # lower-bound C_OPT; keep the tighter.
     return Phase1Result(
-        solution=cheap,
-        cost_lower_bound=max(best_bound, Fraction(cheap.cost)),
+        solution=_solution(inst, cheap),
+        cost_lower_bound=max(bound, Fraction(cheap.cost)),
         provider="lagrangian",
+        bound_is_lp_optimum=converged and fast.delay <= D,
     )
 
 
+def lemma5_score(cost: int, delay: int, cost_norm: Fraction, delay_norm: int) -> Fraction:
+    """Lemma 5's score ``delay/D + cost/C_LP`` as an exact Fraction.
+
+    A zero normalizer drops its criterion out of the score, as in
+    :func:`repro.lp.basis.round_flow_score_monotone`.
+    """
+    score = Fraction(0)
+    if delay_norm > 0:
+        score += Fraction(delay, delay_norm)
+    if cost_norm > 0:
+        score += cost / cost_norm
+    return score
+
+
+@obs.span("phase1.lagrangian_lemma5")
+def phase1_lagrangian_lemma5(
+    inst: KRSPInstance, fastest: KFlow | None = None
+) -> Phase1Result:
+    """Lemma 5's start and the exact flow-LP bound, from integer flows only.
+
+    The cheap extreme is the min-cost k-flow of least delay (lexicographic
+    ``(cost, delay)`` weights). If it meets ``D`` it is returned as is:
+    its cost is the flow-LP optimum. Otherwise LARAC runs to the optimal
+    multiplier, where the two endpoint flows bracket ``D`` and a mixture
+    of them is an optimal flow-LP solution. The score ``d/D + c/C_LP`` is
+    linear and the mixture scores exactly 2, so the better endpoint
+    scores at most 2 — Lemma 5's ``(alpha, 2 - alpha)`` guarantee, checked
+    here as a Fraction. The bound is the exact dual value
+    ``L(lambda*) = C_LP``. ``fastest`` is the instance's
+    :func:`fastest_flow` when the caller already solved it.
+    """
+    g, D = inst.graph, inst.delay_bound
+    # A zero deadline must trip before the first flow, as it does before
+    # the LP in lp_rounding.
+    checkpoint("phase1.lagrangian_lemma5")
+    cheap = _cheapest(inst, lexicographic_weights(g.cost, g.delay)[0])
+    if cheap.delay <= D:
+        return Phase1Result(
+            solution=cheap.solution,
+            cost_lower_bound=Fraction(cheap.cost),
+            provider="lagrangian_lemma5",
+            bound_is_lp_optimum=True,
+        )
+    fast = fastest or fastest_flow(inst)
+    if fast.delay > D:
+        raise InfeasibleInstanceError(
+            f"minimum achievable total delay {fast.delay} exceeds the "
+            f"budget {D} — no fractional k-flow fits it either"
+        )
+    costs, delays = g.cost.tolist(), g.delay.tolist()
+    cheap, fast, bound, converged = _larac(inst, cheap, fast, costs, delays)
+
+    # Ties go to the delay-feasible endpoint, which needs no cancellation.
+    start = min(
+        (fast, cheap), key=lambda f: lemma5_score(f.cost, f.delay, bound, D)
+    )
+    if converged:
+        score = lemma5_score(start.cost, start.delay, bound, D)
+        if score > 2:
+            raise SolverError(f"Lemma 5 endpoint scores {score} > 2")
+    else:
+        obs.inc("phase1.larac.unconverged")
+    return Phase1Result(
+        solution=_solution(inst, start),
+        cost_lower_bound=bound,
+        provider="lagrangian_lemma5",
+        bound_is_lp_optimum=converged,
+    )
+
+
+#: Provider every solve entry point uses unless told otherwise.
+DEFAULT_PROVIDER = "lagrangian_lemma5"
+
 PROVIDERS = {
+    "lagrangian_lemma5": phase1_lagrangian_lemma5,
     "lp_rounding": phase1_lp_rounding,
     "lagrangian": phase1_lagrangian,
     "minsum": phase1_minsum,
 }
-"""Name registry used by :func:`repro.core.krsp.solve_krsp`."""
+"""Name registry used by :func:`repro.core.krsp.solve_krsp`.
+
+Every provider is called as ``provider(inst, fastest)``. ``fastest`` is the
+instance's :func:`fastest_flow` when the caller already solved it (or
+``None``); the Lagrangian providers take it as their far endpoint instead
+of solving it again, the others have no use for it.
+"""

@@ -10,14 +10,21 @@ decomposition, ``k`` edge-disjoint paths of minimum total weight
 Suurballe–Tarjan 84], which the paper lists as the delay-free special case
 of kRSP).
 
-The weight array is a parameter: the Lagrangian phase-1 provider calls this
+The weight array is a parameter: the Lagrangian phase-1 providers call this
 with ``den*c + num*d`` blends, the min-sum baseline with ``c`` alone, and the
-delay-minimal probe with ``d``.
+feasibility gate with the lexicographic ``(delay, cost)`` weight of
+:func:`lexicographic_weights`.
+
+The search runs over Python lists and ints. Weights are exact at any size
+(blends of large costs and delays would overflow int64), and list indexing
+is several times cheaper than reading numpy scalars one at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +32,6 @@ from repro import obs
 from repro._util.heap import AddressableHeap
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
-from repro.paths.dijkstra import INF
 
 
 @dataclass
@@ -37,15 +43,25 @@ class MinCostFlowResult:
     used:
         Boolean edge mask forming the integral k-flow.
     weight:
-        Total weight of the flow under the weight array supplied.
-    potentials:
-        Final vertex potentials (exact shortest-path distances in the last
-        residual) — reusable by callers chaining further augmentations.
+        Total weight of the flow under the weight array supplied (exact).
     """
 
     used: np.ndarray
     weight: int
-    potentials: np.ndarray
+
+
+def lexicographic_weights(
+    primary: np.ndarray, secondary: np.ndarray
+) -> tuple[list[int], int]:
+    """Per-edge ``primary * big + secondary`` as Python ints, and ``big``.
+
+    ``big`` exceeds the total of ``secondary``, so a flow minimizing these
+    weights minimizes ``primary`` first and ``secondary`` second, and its
+    primary total is ``weight // big``.
+    """
+    sec = secondary.tolist()
+    big = sum(sec) + 1
+    return [p * big + q for p, q in zip(primary.tolist(), sec)], big
 
 
 def min_cost_k_flow(
@@ -53,29 +69,38 @@ def min_cost_k_flow(
     s: int,
     t: int,
     k: int,
-    weight: np.ndarray | None = None,
+    weight: np.ndarray | Sequence[int] | None = None,
 ) -> MinCostFlowResult | None:
     """Minimum-weight integral ``s -> t`` flow of value exactly ``k``.
 
     Returns ``None`` when fewer than ``k`` edge-disjoint paths exist.
-    ``weight`` defaults to ``g.cost`` and must be nonnegative (potentials
-    start at zero; negative input weights would need a Bellman–Ford
-    bootstrap, which no caller requires).
+    ``weight`` defaults to ``g.cost``; a sequence is taken as Python ints.
+    It must be nonnegative (potentials start at zero; negative input
+    weights would need a Bellman–Ford bootstrap, which no caller requires).
     """
-    w = g.cost if weight is None else np.asarray(weight, dtype=np.int64)
+    if weight is None:
+        weight = g.cost
+    if isinstance(weight, np.ndarray):
+        w = np.asarray(weight, dtype=np.int64).tolist()
+    else:
+        w = list(weight)
     if len(w) != g.m:
         raise GraphError("weight array length mismatch")
-    if g.m and int(w.min()) < 0:
+    if w and min(w) < 0:
         raise GraphError("min_cost_k_flow requires nonnegative weights")
     if k < 0:
         raise GraphError("k must be nonnegative")
     if s == t:
         raise GraphError("s and t must differ")
 
-    used = np.zeros(g.m, dtype=bool)
-    pi = np.zeros(g.n, dtype=np.int64)
-    out_starts, out_eids = g.out_csr()
-    in_starts, in_eids = g.in_csr()
+    n = g.n
+    out_starts, out_eids = (a.tolist() for a in g.out_csr())
+    in_starts, in_eids = (a.tolist() for a in g.in_csr())
+    out_adj = [out_eids[out_starts[u] : out_starts[u + 1]] for u in range(n)]
+    in_adj = [in_eids[in_starts[u] : in_starts[u + 1]] for u in range(n)]
+    head, tail = g.head.tolist(), g.tail.tolist()
+    used = [False] * g.m
+    pi = [0] * n
 
     # Work counters accumulate locally; one flush on every exit path keeps
     # the telemetry-disabled cost inside the loops to bare integer adds.
@@ -83,8 +108,8 @@ def min_cost_k_flow(
     pops = 0
     try:
         for _ in range(k):
-            augmented, round_pops, pi = _augment_once(
-                g, s, t, w, used, pi, out_starts, out_eids, in_starts, in_eids
+            augmented, round_pops = _augment_once(
+                n, s, t, w, used, pi, out_adj, in_adj, head, tail
             )
             pops += round_pops
             if not augmented:
@@ -94,87 +119,88 @@ def min_cost_k_flow(
         obs.add("mincost.augmentations", augmentations)
         obs.add("mincost.dijkstra_pops", pops)
 
-    total = int(w[np.nonzero(used)[0]].sum())
-    return MinCostFlowResult(used=used, weight=total, potentials=pi)
+    total = sum(w[e] for e, on in enumerate(used) if on)
+    return MinCostFlowResult(used=np.array(used, dtype=bool), weight=total)
 
 
 def _augment_once(
-    g: DiGraph,
+    n: int,
     s: int,
     t: int,
-    w: np.ndarray,
-    used: np.ndarray,
-    pi: np.ndarray,
-    out_starts: np.ndarray,
-    out_eids: np.ndarray,
-    in_starts: np.ndarray,
-    in_eids: np.ndarray,
-) -> tuple[bool, int, np.ndarray]:
-    """One successive-shortest-path augmentation; mutates ``used`` in place.
+    w: list[int],
+    used: list[bool],
+    pi: list[int],
+    out_adj: list[list[int]],
+    in_adj: list[list[int]],
+    head: list[int],
+    tail: list[int],
+) -> tuple[bool, int]:
+    """One successive-shortest-path augmentation.
 
-    Returns ``(augmented, dijkstra_pops, new_potentials)``; ``augmented`` is
-    False when ``t`` is unreachable in the residual (max flow exhausted).
+    Mutates ``used`` and the potentials ``pi`` in place. Returns
+    ``(augmented, dijkstra_pops)``; ``augmented`` is False when ``t`` is
+    unreachable in the residual (max flow exhausted).
     """
-    tail, head = g.tail, g.head
+    inf = math.inf
     # Dijkstra on the residual graph under reduced weights.
-    dist = np.full(g.n, INF, dtype=np.int64)
+    dist: list = [inf] * n
     # pred packs (edge, direction): +e+1 forward, -(e+1) backward.
-    pred = np.zeros(g.n, dtype=np.int64)
+    pred = [0] * n
+    done = [False] * n
     dist[s] = 0
-    heap = AddressableHeap(g.n)
+    heap = AddressableHeap(n)
     heap.push(s, 0)
-    done = np.zeros(g.n, dtype=bool)
+    relax = heap.push_or_decrease
     pops = 0
     while heap:
         u, du = heap.pop()
         pops += 1
         done[u] = True
-        for e in out_eids[out_starts[u] : out_starts[u + 1]]:
-            e = int(e)
+        base = du + pi[u]
+        for e in out_adj[u]:
             if used[e]:
                 continue
-            v = int(head[e])
+            v = head[e]
             if done[v]:
                 continue
-            red = int(w[e]) + int(pi[u]) - int(pi[v])
-            if red < 0:
+            nd = base + w[e] - pi[v]
+            if nd < du:
                 raise GraphError("negative reduced weight — potentials corrupt")
-            nd = du + red
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = e + 1
-                heap.push_or_decrease(v, nd)
-        for e in in_eids[in_starts[u] : in_starts[u + 1]]:
-            e = int(e)
+                relax(v, nd)
+        for e in in_adj[u]:
             if not used[e]:
                 continue
-            v = int(tail[e])
+            v = tail[e]
             if done[v]:
                 continue
-            red = -int(w[e]) + int(pi[u]) - int(pi[v])
-            if red < 0:
+            nd = base - w[e] - pi[v]
+            if nd < du:
                 raise GraphError("negative reduced weight — potentials corrupt")
-            nd = du + red
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = -(e + 1)
-                heap.push_or_decrease(v, nd)
-    if dist[t] >= INF:
-        return False, pops, pi  # max flow exhausted
+                relax(v, nd)
+    dt = dist[t]
+    if dt == inf:
+        return False, pops  # max flow exhausted
     # Update potentials; unreached vertices keep pi via dist capped at
     # dist[t] (standard trick keeps future reduced weights valid).
-    dt = int(dist[t])
-    pi = pi + np.minimum(dist, dt)
+    for v in range(n):
+        dv = dist[v]
+        pi[v] += dv if dv < dt else dt
     # Augment along pred.
     v = t
     while v != s:
-        p = int(pred[v])
+        p = pred[v]
         if p > 0:
             e = p - 1
             used[e] = True
-            v = int(tail[e])
+            v = tail[e]
         else:
             e = -p - 1
             used[e] = False
-            v = int(head[e])
-    return True, pops, pi
+            v = head[e]
+    return True, pops

@@ -61,6 +61,7 @@ from repro.core.cancellation import (
 )
 from repro.core.instance import KRSPInstance, PathSet
 from repro.core.krsp import KRSPSolution, assemble_solution, solve_krsp
+from repro.core.phase1 import DEFAULT_PROVIDER
 from repro.core.residual import ResidualGraph
 from repro.errors import (
     BudgetExhaustedError,
@@ -149,7 +150,7 @@ class OnlineState:
     instance: KRSPInstance
     solution: KRSPSolution | None
     lower_bound: Fraction | None
-    phase1: str = "lp_rounding"
+    phase1: str = DEFAULT_PROVIDER
     engine: IncrementalSearch | None = None
     last: ResolveInfo | None = None
 
@@ -161,7 +162,7 @@ def start_online(
     k: int,
     delay_bound: int,
     *,
-    phase1: str = "lp_rounding",
+    phase1: str = DEFAULT_PROVIDER,
     budget: SolveBudget | None = None,
     copy: bool = True,
 ) -> OnlineState:
@@ -441,7 +442,7 @@ def _resolve_warm(
                         lower_bound=lb,
                         cost_cap=None,
                         cap_paths=None,
-                        min_delay_flow=None,
+                        min_delay=None,
                     )
 
                 if start.delay > inst.delay_bound:
@@ -651,7 +652,7 @@ def state_from_dict(data) -> OnlineState:
             lb = Fraction(lb_text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad lower_bound in online state: {exc}") from None
-    phase1 = data.get("phase1", "lp_rounding")
+    phase1 = data.get("phase1", DEFAULT_PROVIDER)
     if not isinstance(phase1, str):
         raise InputError("online state phase1 must be a string")
 

@@ -16,6 +16,9 @@ the exact MILP.
 All multiplier arithmetic is exact: ``lambda = num/den`` and the combined
 weight is ``den * c(e) + num * d(e)`` (integral, nonnegative), so Dijkstra
 applies at every step and no floating-point tie can derail the iteration.
+The combined weights are formed as Python ints and checked against the
+int64 distance range of :func:`~repro.paths.dijkstra.dijkstra` before each
+search; a blend that could overflow raises :class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.errors import GraphError
+import numpy as np
+
+from repro.errors import GraphError, SolverError
+from repro.flow.mincost import lexicographic_weights
 from repro.graph.digraph import DiGraph
 from repro.paths.dijkstra import INF, dijkstra, extract_path
 
@@ -53,6 +59,15 @@ class LaracResult:
     lower_bound: Fraction
     lam: Fraction
     iterations: int
+
+
+def _int64_weights(g: DiGraph, w: list[int]) -> np.ndarray:
+    """Per-edge Python-int weights as int64, or :class:`SolverError` when a
+    path of up to ``n`` such edges could leave the distance range."""
+    bound = g.n * max(w, default=0)
+    if bound >= INF:
+        raise SolverError(f"LARAC path weights reach {bound}; int64 would overflow")
+    return np.array(w, dtype=np.int64)
 
 
 def _sp(g: DiGraph, s: int, t: int, weight) -> tuple[list[int], int]:
@@ -101,8 +116,8 @@ def larac(
     # Among min-delay paths prefer cheap ones: re-run with cost tie-break
     # folded in (weight = delay * (1 + sum(cost)) + cost keeps ordering by
     # delay primary, cost secondary, still integral).
-    big = g.total_cost() + 1
-    path_d, _ = _sp(g, s, t, g.delay * big + g.cost)
+    tie_broken, _ = lexicographic_weights(g.delay, g.cost)
+    path_d, _ = _sp(g, s, t, _int64_weights(g, tie_broken))
     iterations += 1
     cost_d, delay_d = g.cost_of(path_d), g.delay_of(path_d)
 
@@ -124,8 +139,11 @@ def larac(
         if lam <= 0:
             break
         # Integral combined weight den*c + num*d.
-        w = lam.denominator * g.cost + lam.numerator * g.delay
-        path_r, wval = _sp(g, s, t, w)
+        blend = [
+            lam.denominator * c + lam.numerator * d
+            for c, d in zip(g.cost.tolist(), g.delay.tolist())
+        ]
+        path_r, wval = _sp(g, s, t, _int64_weights(g, blend))
         iterations += 1
         cr, dr = g.cost_of(path_r), g.delay_of(path_r)
         # The search certifies L(lam) = wval/den - lam*D <= OPT.

@@ -61,6 +61,7 @@ from repro.core.cancellation import (
 from repro.core.bicameral import CycleType
 from repro.core.instance import KRSPInstance, PathSet
 from repro.core.krsp import KRSPSolution, assemble_solution, solve_krsp
+from repro.core.phase1 import DEFAULT_PROVIDER
 from repro.core.residual import ResidualGraph
 from repro.errors import GraphError, JournalError, SolveInterrupted
 from repro.graph.digraph import DiGraph
@@ -155,8 +156,9 @@ class CheckpointHook:
     every iteration, :meth:`record_iteration` after selecting/applying a
     cycle but *before* committing it in memory (write-ahead discipline),
     and :meth:`maybe_snapshot` after the commit; ``_solve_krsp_impl``
-    invokes :meth:`write_prelude` once the LP phases are done. All methods
-    are duck-typed — the solver core never imports this module.
+    invokes :meth:`write_prelude` once phase 1 and the bound steps are
+    done. All methods are duck-typed — the solver core never imports this
+    module.
     """
 
     def __init__(
@@ -281,7 +283,7 @@ class CheckpointHook:
         lower_bound: Fraction | None,
         cost_cap: int | None,
         cap_paths: list[list[int]] | None,
-        min_delay_flow,
+        min_delay: int | None,
     ) -> None:
         self.writer.append(
             {
@@ -291,9 +293,7 @@ class CheckpointHook:
                 "lower_bound": _enc_fraction(lower_bound),
                 "cost_cap": None if cost_cap is None else int(cost_cap),
                 "cap_paths": None if cap_paths is None else _enc_paths(cap_paths),
-                "min_delay_weight": (
-                    None if min_delay_flow is None else int(min_delay_flow.weight)
-                ),
+                "min_delay_weight": None if min_delay is None else int(min_delay),
             }
         )
 
@@ -354,7 +354,7 @@ def solve_checkpointed(
     *,
     journal_path,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    phase1: str = "lp_rounding",
+    phase1: str = DEFAULT_PROVIDER,
     b_max: int | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     opt_cost: int | None = None,
@@ -565,8 +565,8 @@ def _resume_inner(
     prelude = doc.last_of(KIND_PRELUDE)
 
     if prelude is None:
-        # Crashed before the LP phases finished: nothing to replay, the
-        # solve simply restarts, appending into the same journal.
+        # Crashed before phase 1 and the bound steps finished: nothing to
+        # replay, the solve simply restarts, appending into the same journal.
         obs.inc("journal.resume.restarts")
         hook = _make_hook(writer, every=every, shutdown=shutdown)
         sol = solve_krsp(

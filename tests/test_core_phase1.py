@@ -1,20 +1,31 @@
 """Tests for phase-1 providers (Lemma 5 and the Lagrangian invariants)."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, note, settings, strategies as st
 
 from repro.core import KRSPInstance
+from repro.core import phase1 as phase1_module
 from repro.core.phase1 import (
     PROVIDERS,
+    lemma5_score,
     phase1_lagrangian,
+    phase1_lagrangian_lemma5,
     phase1_lp_rounding,
     phase1_minsum,
 )
-from repro.errors import InfeasibleInstanceError
+from repro import obs
+from repro.core.krsp import solve_krsp
+from repro.errors import BudgetExhaustedError, InfeasibleInstanceError
+from repro.eval.workloads import interesting_delay_bound
+from repro.flow import decompose_flow, lexicographic_weights, min_cost_k_flow
 from repro.graph import from_edges, gnp_digraph, anticorrelated_weights, parallel_chains
 from repro.graph.validate import check_disjoint_paths
 from repro.lp.milp import solve_krsp_milp
 from repro.lp.flow_lp import solve_flow_lp
+from repro.robustness.budget import SolveBudget, metered
 
 
 def make_instance(seed, n=11, k=2, D=45):
@@ -121,7 +132,137 @@ class TestLagrangian:
             phase1_lagrangian(KRSPInstance(g, s, t, 3, 100))
 
 
+def lemma5_instance(seed, n, p, tightness, slack=0):
+    """An anticorrelated G(n, p) instance with ``D`` in the binding band
+    (``tightness`` 0: the min-cost flow's delay; 1: the minimum delay),
+    plus ``slack``; ``None`` when the band is empty."""
+    g = anticorrelated_weights(gnp_digraph(n, p, rng=seed), rng=seed + 1)
+    D = interesting_delay_bound(g, 0, n - 1, 2, tightness)
+    return None if D is None else KRSPInstance(g, 0, n - 1, 2, D + slack)
+
+
+#: Strategy arguments shared by the Lemma 5 provider properties.
+LEMMA5_CASES = dict(
+    seed=st.integers(0, 100_000),
+    n=st.integers(6, 12),
+    p=st.sampled_from([0.35, 0.45, 0.6]),
+    tightness=st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9, 1.0]),
+)
+
+
+class TestLagrangianLemma5:
+    @settings(max_examples=40)
+    @given(**LEMMA5_CASES)
+    def test_bound_is_the_flow_lp_optimum(self, seed, n, p, tightness):
+        inst = lemma5_instance(seed, n, p, tightness)
+        assume(inst is not None)
+        res = phase1_lagrangian_lemma5(inst)
+        lp = solve_flow_lp(inst.graph, inst.s, inst.t, inst.k, inst.delay_bound)
+        note(f"D={inst.delay_bound} bound={res.cost_lower_bound} HiGHS={lp.cost!r}")
+        assert isinstance(res.cost_lower_bound, Fraction)
+        assert res.bound_is_lp_optimum
+        assert abs(float(res.cost_lower_bound) - lp.cost) <= 1e-6
+
+    @settings(max_examples=40)
+    @given(**LEMMA5_CASES)
+    def test_start_scores_at_most_two(self, seed, n, p, tightness):
+        inst = lemma5_instance(seed, n, p, tightness)
+        assume(inst is not None)
+        res = phase1_lagrangian_lemma5(inst)
+        sol = res.solution
+        score = lemma5_score(sol.cost, sol.delay, res.cost_lower_bound, inst.delay_bound)
+        note(f"D={inst.delay_bound} start=({sol.cost}, {sol.delay}) "
+             f"C_LP={res.cost_lower_bound} score={score}")
+        assert isinstance(score, Fraction)
+        assert score <= 2
+        check_disjoint_paths(
+            inst.graph, [list(p) for p in sol.paths], inst.s, inst.t, k=inst.k
+        )
+
+    @settings(max_examples=30)
+    @given(**LEMMA5_CASES, slack=st.integers(0, 20))
+    def test_fitting_min_cost_flow_is_returned_unchanged(
+        self, seed, n, p, tightness, slack
+    ):
+        inst = lemma5_instance(seed, n, p, 0.0, slack)
+        assume(inst is not None)
+        g = inst.graph
+        # The least-delay min-cost flow: cost first, delay breaks ties.
+        weight, _ = lexicographic_weights(g.cost, g.delay)
+        flow = min_cost_k_flow(g, inst.s, inst.t, inst.k, weight=weight)
+        paths, _ = decompose_flow(g, np.nonzero(flow.used)[0], inst.s, inst.t)
+        expected = inst.path_set(paths)
+        note(f"D={inst.delay_bound} min-cost flow=({expected.cost}, {expected.delay})")
+        assert expected.delay <= inst.delay_bound
+        res = phase1_lagrangian_lemma5(inst)
+        assert res.solution == expected
+        assert res.cost_lower_bound == expected.cost
+
+    def test_tight_start_brackets_the_budget(self):
+        # Two routes: cheap/slow and fast/costly; D sits between them.
+        g, ids = from_edges(
+            [("s", "a", 1, 10), ("a", "t", 1, 10), ("s", "t", 10, 1)]
+        )
+        inst = KRSPInstance(g, ids["s"], ids["t"], 1, 11)
+        res = phase1_lagrangian_lemma5(inst)
+        # LP: theta * (2, 20) + (1 - theta) * (10, 1) with delay 11.
+        assert res.cost_lower_bound == Fraction(2 * 10 + 10 * 9, 19)
+        assert res.solution.delay == 1  # the fast route scores lower
+
+    def test_fitting_flow_is_the_least_delay_min_cost_flow(self):
+        # Two min-cost routes; the slower one also meets D, but the start
+        # is the faster one.
+        g, ids = from_edges(
+            [("s", "t", 5, 9), ("s", "t", 5, 2), ("s", "t", 7, 1)]
+        )
+        res = phase1_lagrangian_lemma5(KRSPInstance(g, ids["s"], ids["t"], 1, 10))
+        assert (res.solution.cost, res.solution.delay) == (5, 2)
+        assert res.cost_lower_bound == 5
+
+    def test_unconverged_walk_falls_back_to_the_flow_lp(self, monkeypatch):
+        # Seed 11 needs two multiplier steps; a cap of one leaves the walk
+        # short of lambda*, so the solver solves the flow LP once and keeps
+        # the better of the dual value and the shaved LP optimum.
+        g = anticorrelated_weights(gnp_digraph(10, 0.4, rng=11), rng=12)
+        monkeypatch.setattr(phase1_module, "LARAC_MAX_STEPS", 1)
+        inst = KRSPInstance(g, 0, 9, 2, 40)
+        p1 = phase1_lagrangian_lemma5(inst)
+        assert not p1.bound_is_lp_optimum
+        with obs.session():
+            sol = solve_krsp(g, 0, 9, 2, 40)
+            snap = obs.snapshot()
+        assert snap.get("phase1.larac.unconverged") == 1
+        assert snap.get("phase1.larac.steps") == 1
+        assert snap.get("lp.flow_lp.solves") == 1
+        lp = solve_flow_lp(g, 0, 9, 2, 40)
+        shaved = Fraction(max(0.0, lp.cost - 1e-6)).limit_denominator(10**9)
+        assert p1.cost_lower_bound < shaved
+        assert sol.cost_lower_bound == max(p1.cost_lower_bound, shaved)
+
+    def test_min_delay_over_budget_raises(self):
+        g, s, t = parallel_chains(2, 2)
+        g = g.with_weights(np.ones(g.m, np.int64), np.full(g.m, 50, np.int64))
+        with pytest.raises(InfeasibleInstanceError):
+            phase1_lagrangian_lemma5(KRSPInstance(g, s, t, 2, 100))
+
+    def test_infeasible_structure_raises(self):
+        g, s, t = parallel_chains(2, 2)
+        with pytest.raises(InfeasibleInstanceError):
+            phase1_lagrangian_lemma5(KRSPInstance(g, s, t, 3, 100))
+
+    def test_zero_deadline_trips_before_the_first_flow(self, monkeypatch):
+        inst = make_instance(3)
+        flows = []
+        monkeypatch.setattr(
+            phase1_module, "min_cost_k_flow", lambda *a, **kw: flows.append(a)
+        )
+        meter = SolveBudget(deadline_seconds=0.0).start()
+        with metered(meter), pytest.raises(BudgetExhaustedError):
+            phase1_lagrangian_lemma5(inst)
+        assert flows == []
+
+
 def test_registry_complete():
-    assert set(PROVIDERS) == {"lp_rounding", "lagrangian", "minsum"}
+    assert set(PROVIDERS) == {"lagrangian_lemma5", "lp_rounding", "lagrangian", "minsum"}
     for fn in PROVIDERS.values():
         assert callable(fn)

@@ -148,6 +148,16 @@ def test_not_a_journal_rejected(tmp_path):
 # -- resume semantics -----------------------------------------------------
 
 
+def test_prelude_records_the_minimum_delay(golden):
+    """The gate's lexicographic (delay, cost) flow weighs ``d * big + c``;
+    the prelude still records the bare minimum delay."""
+    from repro.flow import min_cost_k_flow
+
+    g, s, t, k, _ = _instance()
+    prelude = next(r for r in read_journal_bytes(golden["raw"]) if r["kind"] == "prelude")
+    assert prelude["min_delay_weight"] == min_cost_k_flow(g, s, t, k, weight=g.delay).weight
+
+
 def test_checkpoint_disabled_solve_is_bit_identical(golden):
     g, s, t, k, bound = _instance()
     plain = solve_krsp(g, s, t, k, bound, phase1="minsum")

@@ -6,16 +6,19 @@ max-flow, and multigraph quirks — the corners where off-by-ones and
 overflow live.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro.core import solve_krsp
-from repro.errors import InfeasibleInstanceError, GraphError
+from repro.errors import InfeasibleInstanceError, GraphError, SolverError
 from repro.flow import max_flow_value, min_cost_k_flow
 from repro.graph import from_edges, gnp_digraph, parallel_chains, uniform_weights
 from repro.graph.validate import check_disjoint_paths
 from repro.lp.milp import solve_krsp_milp
 from repro.paths import rsp_exact
+from repro.paths.larac import larac
 
 
 class TestZeroWeights:
@@ -87,6 +90,26 @@ class TestExtremeMagnitudes:
         # k=1, budget forces the expensive fast edge.
         sol = solve_krsp(g, ids["s"], ids["t"], 1, big)
         assert sol.cost == 2 * big + 1 and sol.delay == 1
+
+    def test_blended_weights_beyond_int64(self):
+        """Costs and delays near 10^13: the lexicographic (delay, cost)
+        weight ``d * (sum c + 1) + c`` leaves int64. Once raised
+        ``GraphError: min_cost_k_flow requires nonnegative weights``."""
+        a, b = 2395849982794, 8439125338365
+        g, ids = from_edges(
+            [("s", "a", a, a), ("a", "t", b, b), ("s", "t", a + b + 1, 1)]
+        )
+        s, t, D = ids["s"], ids["t"], b
+        sol = solve_krsp(g, s, t, 1, D)
+        assert sol.status == "ok"
+        assert sol.paths == [[2]]
+        assert (sol.cost, sol.delay) == (a + b + 1, 1)
+        # The exact flow-LP optimum: the mixture of both routes with delay D.
+        theta = Fraction(D - 1, a + b - 1)
+        assert sol.cost_lower_bound == theta * (a + b) + (1 - theta) * (a + b + 1)
+        # Single-path LARAC searches int64 Dijkstra: it refuses the blend.
+        with pytest.raises(SolverError, match="int64"):
+            larac(g, s, t, D)
 
     def test_rsp_dp_guard_against_huge_budget(self):
         """The DP allocates (D+1) x n — callers must scale first; verify a

@@ -5,12 +5,14 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.flow import min_cost_k_flow, suurballe_k_paths
+from repro.flow.mincost import lexicographic_weights
 from repro.graph import from_edges, gnp_digraph, parallel_chains, uniform_weights
 from repro.graph.validate import check_disjoint_paths
+from tests.mincost_oracle import numpy_min_cost_k_flow
 
 
 def nx_min_cost_k_flow(g, s, t, k, weight):
@@ -133,3 +135,46 @@ def test_matches_networkx_min_cost(seed, k):
         paths = suurballe_k_paths(g, s, t, k)
         check_disjoint_paths(g, paths, s, t, k=k)
         assert sum(g.cost_of(p) for p in paths) <= expected
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 100_000),
+    n=st.integers(3, 14),
+    p=st.sampled_from([0.2, 0.35, 0.5, 0.7]),
+    k=st.integers(1, 4),
+    span=st.integers(0, 4),
+)
+def test_list_flow_matches_numpy_oracle(seed, n, p, k, span):
+    """The list-based flow returns the numpy implementation's exact mask and
+    weight; weights drawn from ``0..span`` make ties the common case."""
+    g = uniform_weights(gnp_digraph(n, p, rng=seed), (0, span), (0, span), rng=seed + 1)
+    note(f"seed={seed} n={n} p={p} k={k} span={span} m={g.m}")
+    lex, _ = lexicographic_weights(g.delay, g.cost)
+    for name, weight in (("cost", g.cost), ("delay", g.delay), ("lex", lex)):
+        new = min_cost_k_flow(g, 0, n - 1, k, weight=weight)
+        old = numpy_min_cost_k_flow(g, 0, n - 1, k, weight=np.array(weight))
+        note(f"{name}: list={None if new is None else new.weight} "
+             f"numpy={None if old is None else old.weight}")
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert new.weight == old.weight
+            assert np.array_equal(new.used, old.used)
+
+
+def test_lexicographic_weights_recover_the_primary_minimum():
+    g = uniform_weights(gnp_digraph(12, 0.4, rng=5), (0, 9), (0, 9), rng=6)
+    weight, big = lexicographic_weights(g.delay, g.cost)
+    lex = min_cost_k_flow(g, 0, 11, 2, weight=weight)
+    by_delay = min_cost_k_flow(g, 0, 11, 2, weight=g.delay)
+    assert lex.weight // big == by_delay.weight
+    assert lex.weight % big == int(g.cost[lex.used].sum())
+
+
+def test_python_int_weights_beyond_int64():
+    # Weights whose path sums leave int64 stay exact as Python ints.
+    g, ids = from_edges([("s", "a", 0, 0), ("a", "t", 0, 0), ("s", "t", 0, 0)])
+    huge = 1 << 70
+    res = min_cost_k_flow(g, ids["s"], ids["t"], 1, weight=[huge, huge, 3 * huge])
+    assert res.weight == 2 * huge
+    assert res.used.tolist() == [True, True, False]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import importlib.util
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -365,6 +366,28 @@ class TestAccounting:
             solve_krsp(g, 0, 9, 2, 40, phase1="lp_rounding")
             snap = obs.snapshot()
         assert snap.get("lp.flow_lp.solves") == 1
+
+    @pytest.mark.parametrize("seed", [6, 11])
+    def test_default_solve_runs_no_flow_lp(self, seed):
+        # Seed 6's min-cost flow meets D; seed 11 walks LARAC to lambda*.
+        # Either way the bound is the flow-LP optimum, found without HiGHS.
+        g = anticorrelated_weights(gnp_digraph(10, 0.4, rng=seed), rng=seed + 1)
+        with obs.session():
+            sol = solve_krsp(g, 0, 9, 2, 40)
+            snap = obs.snapshot()
+        assert snap.get("lp.flow_lp.solves", 0) == 0
+        assert isinstance(sol.cost_lower_bound, Fraction)
+        lp = solve_flow_lp(g, 0, 9, 2, 40)
+        assert abs(float(sol.cost_lower_bound) - lp.cost) <= 1e-6
+
+    def test_lp_rounding_bound_is_shaved(self):
+        # The provider reports the unshaved HiGHS float; the solver's
+        # certified bound must be the shaved one, not the max of the two.
+        g = anticorrelated_weights(gnp_digraph(10, 0.4, rng=11), rng=12)
+        lp = solve_flow_lp(g, 0, 9, 2, 40)
+        sol = solve_krsp(g, 0, 9, 2, 40, phase1="lp_rounding")
+        shaved = Fraction(max(0.0, lp.cost - 1e-6)).limit_denominator(10**9)
+        assert sol.cost_lower_bound == shaved < Fraction(lp.cost)
 
     def test_validate_trace_accepts_real_solver_run(self, tmp_path):
         from repro.obs.report import validate_file

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -410,11 +411,16 @@ class TestOverheadGuard:
         assert calls["observe"] <= ceilings["observe"], calls
         assert calls["emit"] <= ceilings["emit"], calls
 
-        def per_call(fn, reps=5_000):
-            start = time.perf_counter()
-            for _ in itertools.repeat(None, reps):
-                fn()
-            return (time.perf_counter() - start) / reps
+        def per_call(fn, reps=5_000, repeats=5):
+            # Minimum over repeats, as timeit does: scheduler noise only
+            # ever adds time, so one slow batch cannot fail the bar.
+            best = math.inf
+            for _ in range(repeats):
+                start = time.perf_counter()
+                for _ in itertools.repeat(None, reps):
+                    fn()
+                best = min(best, time.perf_counter() - start)
+            return best / reps
 
         def one_span():
             with obs.span("x"):
