@@ -32,7 +32,9 @@ gated by deterministic counters instead (enforced in every mode, including
 
 * **Flow-LP gate** — the default solve takes its phase-1 start and its
   exact lower bound from Lagrangian min-cost flows, so the E7 full-solver
-  kernel must make no ``lp.flow_lp.solves`` at all. (This replaced an E5
+  kernel must make no ``lp.flow_lp.solves`` at all. Neither may the E10
+  warm churn replay (``kernel_online_warm``), whose bound refreshes run
+  the same walk from the session's last multiplier. (This replaced an E5
   ``lp.pivots`` ceiling that passed at 0 once the ratio search left HiGHS.)
 * **Ratio search gate** — the exact ratio search
   (:func:`repro.core.auxlp.min_ratio_cycle`) is held to a deterministic
@@ -79,10 +81,12 @@ SPEEDUP_FLOORS = {
 }
 
 # Deterministic flow-LP ceilings per kernel: the default phase-1 provider
-# and lower bound solve no HiGHS flow LP. Enforced in every mode including
-# --quick: counters are machine-independent.
+# and lower bound solve no HiGHS flow LP, and neither does the online
+# bound refresh (the E10 warm replay, kernel_online_warm). Enforced in
+# every mode including --quick: counters are machine-independent.
 FLOW_LP_CEILINGS = {
     "e7_solver": 0,
+    "e10_online_warm": 0,
 }
 # Deterministic Newton-step ceilings per kernel: the E5 measurement when
 # the ratio search replaced the ratio LP (106 passes over 28 searches that
@@ -464,10 +468,14 @@ def run_gate(args) -> int:
         print(line)
 
     # -- flow-LP gate: deterministic solve-count ceilings
+    flow_lp_counters = {
+        name: entry["counters"] for name, entry in report["kernels"].items()
+    }
+    flow_lp_counters["e10_online_warm"] = _counters_of(kernel_online_warm)
     report["flow_lp"] = {
         "solves": {
-            name: entry["counters"].get("lp.flow_lp.solves", 0)
-            for name, entry in report["kernels"].items()
+            name: kernel_counters.get("lp.flow_lp.solves", 0)
+            for name, kernel_counters in flow_lp_counters.items()
         },
         "ceilings": FLOW_LP_CEILINGS,
     }

@@ -35,6 +35,7 @@ from repro.core.search import (
 from repro.core.phase1 import (
     PROVIDERS,
     Phase1Result,
+    flow_lp_bound,
     phase1_lagrangian,
     phase1_lagrangian_lemma5,
     phase1_lp_rounding,
@@ -85,6 +86,7 @@ __all__ = [
     "reversed_edge_anchors",
     "PROVIDERS",
     "Phase1Result",
+    "flow_lp_bound",
     "phase1_lagrangian",
     "phase1_lagrangian_lemma5",
     "phase1_lp_rounding",

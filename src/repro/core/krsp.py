@@ -37,7 +37,12 @@ from repro.core.phase1 import (
     fastest_flow,
 )
 from repro.core.scaling import scale_instance
-from repro.errors import BudgetExhaustedError, GraphError, InfeasibleInstanceError
+from repro.errors import (
+    BudgetExhaustedError,
+    GraphError,
+    InfeasibleInstanceError,
+    InputError,
+)
 from repro.flow.maxflow import has_k_disjoint_paths
 from repro.lp.flow_lp import solve_flow_lp
 # Bound here as well for layer tracers (perfbench/tracer.py) that wrap this
@@ -200,7 +205,14 @@ def solve_krsp(
     ------
     InfeasibleInstanceError
         When no ``k`` disjoint delay-feasible paths exist.
+    InputError
+        When ``phase1`` names no provider.
     """
+    if phase1 not in PROVIDERS:
+        raise InputError(
+            f"unknown phase-1 provider {phase1!r} "
+            f"(known: {', '.join(PROVIDERS)})"
+        )
     # Arm the deadline clock before any work so "deadline" means
     # end-to-end wall clock, not just the cancellation phase.
     meter = budget.start() if budget is not None else None

@@ -153,6 +153,20 @@ def _cheapest(inst: KRSPInstance, weight) -> KFlow:
     return KFlow(res.used, sol.cost, sol.delay, sol)
 
 
+def _lex_flow(
+    inst: KRSPInstance, primary, secondary
+) -> tuple[np.ndarray, int, int]:
+    """The k-flow minimizing ``primary``, ties broken by least ``secondary``:
+    its edge mask and both exact totals (no path decomposition)."""
+    weight, big = lexicographic_weights(primary, secondary)
+    res = min_cost_k_flow(inst.graph, inst.s, inst.t, inst.k, weight=weight)
+    if res is None:
+        raise InfeasibleInstanceError(
+            f"fewer than k={inst.k} edge-disjoint s-t paths exist"
+        )
+    return (res.used, *divmod(res.weight, big))
+
+
 def fastest_flow(inst: KRSPInstance) -> KFlow:
     """The min-delay k-flow, cost tie-broken: one lexicographic
     ``(delay, cost)`` flow.
@@ -162,15 +176,15 @@ def fastest_flow(inst: KRSPInstance) -> KFlow:
     cheapest (the solver's cost cap), and it is the Lagrangian walk's far
     endpoint, so a caller that has it passes it to the provider.
     """
-    g = inst.graph
-    weight, big = lexicographic_weights(g.delay, g.cost)
-    res = min_cost_k_flow(g, inst.s, inst.t, inst.k, weight=weight)
-    if res is None:
-        raise InfeasibleInstanceError(
-            f"fewer than k={inst.k} edge-disjoint s-t paths exist"
-        )
-    delay, cost = divmod(res.weight, big)
-    return KFlow(res.used, cost, delay)
+    used, delay, cost = _lex_flow(inst, inst.graph.delay, inst.graph.cost)
+    return KFlow(used, cost, delay)
+
+
+def _cheapest_flow(inst: KRSPInstance) -> KFlow:
+    """The min-cost k-flow of least delay: the Lemma 5 walk's near endpoint,
+    decomposed only if it becomes the start."""
+    used, cost, delay = _lex_flow(inst, inst.graph.cost, inst.graph.delay)
+    return KFlow(used, cost, delay)
 
 
 def _larac(
@@ -308,26 +322,20 @@ def phase1_lagrangian_lemma5(
     ``L(lambda*) = C_LP``. ``fastest`` is the instance's
     :func:`fastest_flow` when the caller already solved it.
     """
-    g, D = inst.graph, inst.delay_bound
+    D = inst.delay_bound
     # A zero deadline must trip before the first flow, as it does before
     # the LP in lp_rounding.
     checkpoint("phase1.lagrangian_lemma5")
-    cheap = _cheapest(inst, lexicographic_weights(g.cost, g.delay)[0])
+    cheap = _cheapest_flow(inst)
     if cheap.delay <= D:
         return Phase1Result(
-            solution=cheap.solution,
+            solution=_solution(inst, cheap),
             cost_lower_bound=Fraction(cheap.cost),
             provider="lagrangian_lemma5",
             bound_is_lp_optimum=True,
         )
     fast = fastest or fastest_flow(inst)
-    if fast.delay > D:
-        raise InfeasibleInstanceError(
-            f"minimum achievable total delay {fast.delay} exceeds the "
-            f"budget {D} — no fractional k-flow fits it either"
-        )
-    costs, delays = g.cost.tolist(), g.delay.tolist()
-    cheap, fast, bound, converged = _larac(inst, cheap, fast, costs, delays)
+    cheap, fast, bound, converged = _bracket(inst, cheap, fast)
 
     # Ties go to the delay-feasible endpoint, which needs no cancellation.
     start = min(
@@ -345,6 +353,77 @@ def phase1_lagrangian_lemma5(
         provider="lagrangian_lemma5",
         bound_is_lp_optimum=converged,
     )
+
+
+def _bracket(
+    inst: KRSPInstance, cheap: KFlow, fast: KFlow
+) -> tuple[KFlow, KFlow, Fraction, bool]:
+    """:func:`_larac` from ``cheap`` (delay above ``D``) and ``fast`` (the
+    min-delay flow or, warm, a flow optimal at a multiplier above
+    ``lambda*``), once ``fast`` is shown to meet ``D``."""
+    if fast.delay > inst.delay_bound:
+        raise InfeasibleInstanceError(
+            f"minimum achievable total delay {fast.delay} exceeds the "
+            f"budget {inst.delay_bound} — no fractional k-flow fits it either"
+        )
+    g = inst.graph
+    return _larac(inst, cheap, fast, g.cost.tolist(), g.delay.tolist())
+
+
+def flow_lp_bound(
+    inst: KRSPInstance, multiplier: Fraction | None = None
+) -> tuple[Fraction, Fraction]:
+    """Exact flow-LP optimum and an optimal multiplier, warm-started.
+
+    Returns ``(C_LP, lambda*)``, both exact Fractions. With no hint (or
+    ``0``) this is the walk of :func:`phase1_lagrangian_lemma5`. A hint
+    ``lambda = p/q > 0`` is tested first with two lexicographic min-cost
+    k-flows under the blend ``q*c + p*d``: the least-delay and the
+    least-cost flow of the face of blend-minimal flows (on that face
+    least cost is most delay). The subgradients of the dual ``L`` at
+    ``lambda`` run from the first's delay minus ``D`` to the second's, so
+    when the two delays bracket ``D``, ``lambda`` is still optimal and
+    ``L(lambda) = C_LP`` exactly. Otherwise the walk resumes from the
+    flow on the near side of ``D`` and the missing endpoint: the
+    min-delay flow when ``lambda`` is too small, the least-delay min-cost
+    flow when it is too large. Any hint gives the same bound; only the
+    number of flows differs.
+
+    Only edge masks and exact totals are used: no flow is decomposed into
+    paths. Raises :class:`InfeasibleInstanceError` when fewer than ``k``
+    edge-disjoint paths exist or the min-delay flow misses ``D``, the
+    verdict of an infeasible flow LP. A walk cut off by
+    :data:`LARAC_MAX_STEPS` returns its best dual value, still a certified
+    lower bound, and counts ``phase1.larac.unconverged``.
+    """
+    D = inst.delay_bound
+    checkpoint("phase1.flow_lp_bound")
+    if multiplier:
+        costs, delays = inst.graph.cost.tolist(), inst.graph.delay.tolist()
+        p, q = multiplier.numerator, multiplier.denominator
+        blend = [q * c + p * d for c, d in zip(costs, delays)]
+        used, w, delay = _lex_flow(inst, blend, delays)
+        low = KFlow(used, (w - p * delay) // q, delay)
+        if low.delay > D:
+            # lambda < lambda*: the whole face overshoots D.
+            cheap, fast = low, fastest_flow(inst)
+        else:
+            used, w, cost = _lex_flow(inst, blend, costs)
+            high = KFlow(used, cost, (w - q * cost) // p)
+            if high.delay >= D:
+                return Fraction(w - p * D, q), multiplier
+            # lambda > lambda*: the whole face undershoots D.
+            cheap, fast = _cheapest_flow(inst), high
+    else:
+        cheap, fast = _cheapest_flow(inst), None
+    if cheap.delay <= D:
+        return Fraction(cheap.cost), Fraction(0)
+    cheap, fast, bound, converged = _bracket(
+        inst, cheap, fast or fastest_flow(inst)
+    )
+    if not converged:
+        obs.inc("phase1.larac.unconverged")
+    return bound, Fraction(fast.cost - cheap.cost, cheap.delay - fast.delay)
 
 
 #: Provider every solve entry point uses unless told otherwise.

@@ -51,17 +51,20 @@ class MinCostFlowResult:
 
 
 def lexicographic_weights(
-    primary: np.ndarray, secondary: np.ndarray
+    primary: np.ndarray | Sequence[int], secondary: np.ndarray | Sequence[int]
 ) -> tuple[list[int], int]:
     """Per-edge ``primary * big + secondary`` as Python ints, and ``big``.
 
-    ``big`` exceeds the total of ``secondary``, so a flow minimizing these
-    weights minimizes ``primary`` first and ``secondary`` second, and its
-    primary total is ``weight // big``.
+    ``big`` exceeds the total of ``secondary`` (nonnegative), so a flow
+    minimizing these weights minimizes ``primary`` first and ``secondary``
+    second, and its primary total is ``weight // big``. Sequences are taken
+    as Python ints, so a primary beyond int64 (a Lagrangian blend) is exact.
     """
-    sec = secondary.tolist()
+    prim, sec = (
+        a.tolist() if isinstance(a, np.ndarray) else a for a in (primary, secondary)
+    )
     big = sum(sec) + 1
-    return [p * big + q for p, q in zip(primary.tolist(), sec)], big
+    return [p * big + q for p, q in zip(prim, sec)], big
 
 
 def min_cost_k_flow(

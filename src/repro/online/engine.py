@@ -18,8 +18,13 @@ as a cold solve. The engine maintains a certified cost lower bound ``LB``:
   can only raise the optimum, so the previous ``LB`` stays valid and is
   reused (``online.lb_reused``);
 * *softening* deltas (any decrease, additions, ``D`` relaxation) may
-  lower the optimum, so ``LB`` is refreshed from the delay-budgeted flow
-  LP (``online.lb_refresh``).
+  lower the optimum, so ``LB`` is refreshed to the delay-budgeted flow
+  LP's exact optimum (``online.lb_refresh``) by
+  :func:`repro.core.phase1.flow_lp_bound`, warm-started from the
+  session's last Lagrangian multiplier. Two integer min-cost flows
+  usually confirm that multiplier is still optimal
+  (``online.lb_refresh.multiplier_kept``); otherwise the walk resumes
+  from them. No LP is solved.
 
 After cancellation the engine checks ``cost <= 2 * LB``; a failed check
 refreshes ``LB`` once more and, if still failing, falls back to a cold
@@ -61,7 +66,7 @@ from repro.core.cancellation import (
 )
 from repro.core.instance import KRSPInstance, PathSet
 from repro.core.krsp import KRSPSolution, assemble_solution, solve_krsp
-from repro.core.phase1 import DEFAULT_PROVIDER
+from repro.core.phase1 import DEFAULT_PROVIDER, PROVIDERS, flow_lp_bound
 from repro.core.residual import ResidualGraph
 from repro.errors import (
     BudgetExhaustedError,
@@ -71,7 +76,6 @@ from repro.errors import (
     IterationLimitError,
 )
 from repro.graph.io import instance_from_dict, instance_to_dict
-from repro.lp.flow_lp import solve_flow_lp
 from repro.online.deltas import (
     DemandMove,
     EdgeAddition,
@@ -145,6 +149,9 @@ class OnlineState:
     ``solution`` is ``None`` before the first successful solve and after
     an infeasible churn step; the next resolve then starts cold
     (``online.fallback.no_prior``) and re-arms the warm machinery.
+    ``multiplier`` is the Lagrangian multiplier the last bound refresh
+    ended on, the next refresh's warm start; like ``engine`` it is
+    derived state and is not persisted.
     """
 
     instance: KRSPInstance
@@ -153,6 +160,7 @@ class OnlineState:
     phase1: str = DEFAULT_PROVIDER
     engine: IncrementalSearch | None = None
     last: ResolveInfo | None = None
+    multiplier: Fraction | None = None
 
 
 def start_online(
@@ -352,18 +360,23 @@ def resolve(
         return _resolve_cold(state, reason=abort.reason, ops=op_counts, **kwargs)
 
 
-def _flow_lb(inst: KRSPInstance) -> Fraction:
-    """Certified cost lower bound from the delay-budgeted flow LP.
+def _flow_lb(state: OnlineState) -> Fraction:
+    """Exact flow-LP optimum of the session's instance, warm-started from
+    (and updating) the session's multiplier.
 
-    An infeasible LP certifies instance infeasibility — surrender the warm
-    path and let the cold solve's exact gate raise the canonical error.
+    An infeasible verdict certifies instance infeasibility — surrender the
+    warm path and let the cold solve's exact gate raise the canonical error.
     """
-    lp = solve_flow_lp(inst.graph, inst.s, inst.t, inst.k, inst.delay_bound)
-    if lp is None:
-        raise _WarmAbort(FALLBACK_WARM_INFEASIBLE)
-    # Same solver-tolerance shave as the cold pipeline: float noise must
-    # never push a "certified" bound above the true optimum.
-    return Fraction(max(0.0, lp.cost - 1e-6)).limit_denominator(10**9)
+    hint = state.multiplier
+    try:
+        lb, state.multiplier = flow_lp_bound(state.instance, hint)
+    except InfeasibleInstanceError:
+        raise _WarmAbort(FALLBACK_WARM_INFEASIBLE) from None
+    if not hint:
+        obs.inc("online.lb_refresh.cold")
+    elif state.multiplier == hint:
+        obs.inc("online.lb_refresh.multiplier_kept")
+    return lb
 
 
 def _resolve_warm(
@@ -407,7 +420,7 @@ def _resolve_warm(
                     if softening or lb is None:
                         # A softening delta may lower the optimum below the
                         # carried bound — the old LB is no longer certified.
-                        lb = _flow_lb(inst)
+                        lb = _flow_lb(state)
                         refreshed = True
                         obs.inc("online.lb_refresh")
                     else:
@@ -487,8 +500,8 @@ def _resolve_warm(
             cost = g.cost_of([e for p in final_paths for e in p])
             if Fraction(cost) > 2 * lb and not refreshed:
                 # The reused (hardening) bound may just be slack — buy one
-                # LP re-certification before giving up on the warm result.
-                lb = max(lb, _flow_lb(inst))
+                # exact re-certification before giving up on the warm result.
+                lb = max(lb, _flow_lb(state))
                 refreshed = True
                 obs.inc("online.lb_refresh")
             if Fraction(cost) > 2 * lb:
@@ -655,6 +668,8 @@ def state_from_dict(data) -> OnlineState:
     phase1 = data.get("phase1", DEFAULT_PROVIDER)
     if not isinstance(phase1, str):
         raise InputError("online state phase1 must be a string")
+    if phase1 not in PROVIDERS:
+        raise InputError(f"unknown phase-1 provider {phase1!r} in online state")
 
     solution = None
     engine = None

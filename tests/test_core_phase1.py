@@ -10,6 +10,7 @@ from repro.core import KRSPInstance
 from repro.core import phase1 as phase1_module
 from repro.core.phase1 import (
     PROVIDERS,
+    flow_lp_bound,
     lemma5_score,
     phase1_lagrangian,
     phase1_lagrangian_lemma5,
@@ -18,7 +19,7 @@ from repro.core.phase1 import (
 )
 from repro import obs
 from repro.core.krsp import solve_krsp
-from repro.errors import BudgetExhaustedError, InfeasibleInstanceError
+from repro.errors import BudgetExhaustedError, InfeasibleInstanceError, InputError
 from repro.eval.workloads import interesting_delay_bound
 from repro.flow import decompose_flow, lexicographic_weights, min_cost_k_flow
 from repro.graph import from_edges, gnp_digraph, anticorrelated_weights, parallel_chains
@@ -260,6 +261,97 @@ class TestLagrangianLemma5:
         with metered(meter), pytest.raises(BudgetExhaustedError):
             phase1_lagrangian_lemma5(inst)
         assert flows == []
+
+
+def _bound_or_none(inst, hint):
+    try:
+        return flow_lp_bound(inst, hint)
+    except InfeasibleInstanceError:
+        return None
+
+
+class TestFlowLpBound:
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(5, 12),
+        p=st.sampled_from([0.3, 0.45, 0.6]),
+        k=st.integers(1, 3),
+        tightness=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        slack=st.integers(-3, 3),
+    )
+    def test_warm_hints_match_the_cold_walk(self, seed, n, p, k, tightness, slack):
+        # Any hint -- none, zero, optimal, too small, too large, huge --
+        # gives the cold walk's bound, the flow-LP optimum, and the same
+        # infeasibility verdict (fewer than k paths or min delay over D).
+        g = anticorrelated_weights(gnp_digraph(n, p, rng=seed), rng=seed + 1)
+        D = interesting_delay_bound(g, 0, n - 1, k, tightness)
+        inst = KRSPInstance(g, 0, n - 1, k, max(0, (30 if D is None else D) + slack))
+        lp = solve_flow_lp(g, inst.s, inst.t, k, inst.delay_bound)
+        cold = _bound_or_none(inst, None)
+        lam = cold[1] if cold is not None and cold[1] > 0 else Fraction(7, 3)
+        hints = [None, Fraction(0), lam, 10 * lam, lam / 10, Fraction(10**40)]
+        note(f"D={inst.delay_bound} cold={cold} HiGHS={lp and lp.cost!r}")
+        assert (cold is None) == (lp is None)
+        for hint in hints:
+            got = _bound_or_none(inst, hint)
+            note(f"hint={hint} -> {got}")
+            if cold is None:
+                assert got is None
+                continue
+            bound, multiplier = got
+            assert isinstance(bound, Fraction)
+            assert bound == cold[0]
+            assert abs(float(bound) - lp.cost) <= 1e-6
+            # The returned multiplier is optimal: handed back, it is kept.
+            assert flow_lp_bound(inst, multiplier) == (bound, multiplier)
+
+    def test_hand_computed_bound_from_either_side(self):
+        # Cheap/slow (2, 20) and fast/costly (10, 1) routes, D = 11:
+        # lambda* = 8/19 and C_LP = 110/19.
+        g, ids = from_edges(
+            [("s", "a", 1, 10), ("a", "t", 1, 10), ("s", "t", 10, 1)]
+        )
+        inst = KRSPInstance(g, ids["s"], ids["t"], 1, 11)
+        expected = (Fraction(110, 19), Fraction(8, 19))
+        assert flow_lp_bound(inst) == expected
+        for hint in (Fraction(8, 19), Fraction(1, 100), Fraction(100)):
+            with obs.session():
+                assert flow_lp_bound(inst, hint) == expected
+                flows = obs.snapshot().get("mincost.augmentations")
+            # Confirming lambda* takes two one-path flows; a wrong hint
+            # costs at least one more.
+            assert (flows == 2) == (hint == expected[1])
+
+    def test_fitting_min_cost_flow_gives_multiplier_zero(self):
+        g, ids = from_edges([("s", "t", 5, 9), ("s", "t", 7, 1)])
+        inst = KRSPInstance(g, ids["s"], ids["t"], 1, 9)
+        for hint in (None, Fraction(0), Fraction(3), Fraction(10**30)):
+            assert flow_lp_bound(inst, hint) == (Fraction(5), Fraction(0))
+
+    def test_infeasible_verdicts_with_a_hint(self):
+        g, s, t = parallel_chains(2, 2)
+        with pytest.raises(InfeasibleInstanceError):
+            flow_lp_bound(KRSPInstance(g, s, t, 3, 100), Fraction(1, 2))
+        g = g.with_weights(np.ones(g.m, np.int64), np.full(g.m, 50, np.int64))
+        with pytest.raises(InfeasibleInstanceError):
+            flow_lp_bound(KRSPInstance(g, s, t, 2, 100), Fraction(1, 2))
+
+    def test_solves_no_lp(self):
+        inst = lemma5_instance(11, 10, 0.45, 0.5)
+        with obs.session():
+            _bound, lam = flow_lp_bound(inst)
+            flow_lp_bound(inst, lam / 3)
+            snap = obs.snapshot()
+        assert snap.get("lp.flow_lp.solves", 0) == 0
+
+
+def test_unknown_provider_is_an_input_error():
+    inst = make_instance(3)
+    with pytest.raises(InputError, match="bogus"):
+        solve_krsp(
+            inst.graph, inst.s, inst.t, inst.k, inst.delay_bound, phase1="bogus"
+        )
 
 
 def test_registry_complete():

@@ -460,9 +460,9 @@ class TestAuxCacheGaps:
 class TestOnlineResolveLiveness:
     def test_resolve_runs_through_engine(self):
         # The cold-fallback taxonomy itself is frozen by the pinned corpus
-        # replay in tests/test_online_resolve.py; this asserts the engine
-        # is actually the path those resolves take (solve counters fire
-        # inside a resolve session).
+        # replay in tests/test_online_resolve.py; this asserts which engine
+        # a resolve's bound refresh takes: exact min-cost flows, whose
+        # counters fire inside the resolve session, and no HiGHS solve.
         from repro.online import EdgeReweight, InstanceDelta, resolve, start_online
 
         g = anticorrelated_weights(gnp_digraph(10, 0.4, rng=6), rng=7)
@@ -470,4 +470,6 @@ class TestOnlineResolveLiveness:
         with obs.session():
             resolve(state, InstanceDelta(ops=(EdgeReweight(0, cost=2, delay=3),)))
             snap = obs.snapshot()
-        assert snap.get("lp.backend.scipy.solves", 0) >= 1
+        assert snap.get("online.lb_refresh") == 1
+        assert snap.get("mincost.augmentations", 0) >= 1
+        assert snap.get("lp.backend.scipy.solves", 0) == 0

@@ -14,13 +14,17 @@ Locks down :mod:`repro.online` end to end:
   :func:`repro.robustness.resume_krsp` to the identical solution;
 * pinned corpus — three committed churn traces under
   ``tests/corpus/churn/`` with frozen mode/fallback/cost expectations;
+* the exact lower bound — refreshes solve no flow LP, each refreshed
+  bound is the LP optimum, and the warm multiplier is not persisted;
 * telemetry — a resolve under a trace session emits schema-valid spans,
   ``online.*`` counters, and the resolve event.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,12 +35,14 @@ from repro.core import solve_krsp
 from repro.core.verify import verify_solution
 from repro.errors import GraphError, InfeasibleInstanceError, InputError
 from repro.graph import anticorrelated_weights, from_edges, gnp_digraph
+from repro.lp.flow_lp import solve_flow_lp
 from repro.online import (
     FALLBACK_BUDGET_TIGHTENED,
     FALLBACK_DEMAND_MOVED,
     FALLBACK_NO_PRIOR,
     FALLBACK_REMOVED_SOLUTION_EDGE,
     FALLBACK_WARM_STALLED,
+    STATE_SCHEMA,
     DemandMove,
     EdgeAddition,
     EdgeRemoval,
@@ -407,6 +413,17 @@ class TestPersistence:
             with pytest.raises(InputError):
                 load_state(path)
 
+    def test_unknown_provider_rejected(self, tmp_path):
+        g, ids = _two_route()
+        state = start_online(g, ids["s"], ids["t"], 2, 16)
+        path = tmp_path / "state.json"
+        save_state(path, state)
+        data = json.loads(path.read_text())
+        data["phase1"] = "bogus"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InputError, match="bogus"):
+            load_state(path)
+
     def test_trace_file_round_trip(self, tmp_path):
         inst = _feasible_base("er", range(3, 40))
         trace = generate_churn_trace(inst, 4, rng=5)
@@ -517,6 +534,82 @@ class TestPinnedChurnCorpus:
             pass
         report = verify_solution(g, s, t, k, bound, state.solution.paths)
         assert report.clean, report.issues
+
+
+# ---------------------------------------------------------------------------
+# the exact lower bound: warm Lagrangian refreshes, no flow LP
+# ---------------------------------------------------------------------------
+
+
+class TestExactLowerBound:
+    @staticmethod
+    def _session():
+        # Base 2 under churn seed 1 stays warm for 12 steps; its 11 bound
+        # refreshes keep the carried multiplier 5 times, run cold 4 times
+        # (no multiplier yet, or multiplier 0) and resume the walk twice.
+        inst = _feasible_base("er", [2])
+        trace = generate_churn_trace(inst, 12, rng=1)
+        state = start_online(inst.graph, inst.s, inst.t, inst.k, inst.delay_bound)
+        return state, trace
+
+    def test_churn_refreshes_solve_no_flow_lp(self):
+        state, trace = self._session()
+        seen = []
+        with obs.session():
+            for delta in trace.deltas:
+                sol = resolve(state, delta)
+                seen.append((sol, state.lower_bound, state.last))
+            snap = obs.snapshot()
+        assert snap.get("lp.flow_lp.solves", 0) == 0
+        assert snap["online.lb_refresh"] == 11
+        assert snap["online.lb_refresh.multiplier_kept"] == 5
+        assert snap["online.lb_refresh.cold"] == 4
+        for (sol, lb, last), (_i, _d, g, s, t, k, bound) in zip(
+            seen, replay_instances(trace)
+        ):
+            lp = solve_flow_lp(g, s, t, k, bound)
+            scratch = solve_krsp(g, s, t, k, bound)
+            assert isinstance(lb, Fraction)
+            if last.lb_refreshed:
+                # Exact, and equal to the cold solve's Lagrangian bound.
+                assert lb == scratch.cost_lower_bound
+                assert abs(float(lb) - lp.cost) <= 1e-6
+            else:
+                # A hardening delta reuses a bound the optimum can only
+                # have risen above.
+                assert lb <= scratch.cost_lower_bound
+            # The (1, 2) guarantee against the cold replay's bound.
+            assert sol.status == "ok"
+            assert sol.delay <= bound
+            assert Fraction(sol.cost) <= 2 * scratch.cost_lower_bound
+
+    def test_multiplier_is_not_persisted(self, tmp_path):
+        state, trace = self._session()
+        for delta in trace.deltas[:4]:
+            resolve(state, delta)
+        assert state.multiplier
+        path = tmp_path / "state.json"
+        save_state(path, state)
+        data = json.loads(path.read_text())
+        assert data["schema"] == STATE_SCHEMA
+        assert set(data) == {
+            "schema", "phase1", "instance", "lower_bound", "solution", "residual"
+        }
+        loaded = load_state(path)
+        assert loaded.multiplier is None
+        # A softening delta: both sessions refresh; the reloaded one
+        # starts its walk cold and reaches the same exact bound.
+        relaxed = loaded.instance.delay_bound + 3
+        softening = InstanceDelta(ops=(DemandMove(delay_bound=relaxed),))
+        kept = copy.deepcopy(state)
+        resolve(kept, softening)
+        with obs.session():
+            resolve(loaded, softening)
+            snap = obs.snapshot()
+        assert snap["online.lb_refresh.cold"] == 1
+        assert loaded.last.lb_refreshed and kept.last.lb_refreshed
+        assert loaded.lower_bound == kept.lower_bound
+        assert loaded.multiplier is not None
 
 
 # ---------------------------------------------------------------------------
