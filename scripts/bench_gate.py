@@ -4,7 +4,7 @@
 Runs a fixed set of kernels drawn from the benchmark suite's experiment
 areas (E5 cancellation, E6 bicameral finder, E7 full solver, E10 stress
 scale, F2 auxiliary-graph construction), records median wall-clock plus the
-deterministic telemetry-counter snapshot of each, and enforces two gates:
+deterministic telemetry-counter snapshot of each, and enforces these gates:
 
 * **Regression gate** — any pinned kernel more than ``--tolerance`` (15%
   default) slower than the committed ``BENCH_PR9.json`` baseline fails the
@@ -13,22 +13,17 @@ deterministic telemetry-counter snapshot of each, and enforces two gates:
   :mod:`repro.obs.diff`): the kernels are deterministic, so moved counters
   name the behavioural cause, while identical counters point at the
   machine.
-* **Speedup gate** — the incremental search engine (:mod:`repro.perf`)
-  must beat the from-scratch path on the search-layer kernels by the pinned
-  floors: >= 2x on the E6-scale residual+aux layer, >= 1.5x at E10 stress
-  scale. These are *ratios* measured on the same machine in the same
-  process, so they hold on any hardware and run under ``--quick`` too.
 * **Online resolve gate (PR 6)** — warm re-solving a pinned E10-scale
   churn trace through :func:`repro.online.resolve` must beat from-scratch
   ``solve_krsp`` replays of the same instance sequence by >= 2x (median,
-  ratio-gated, runs under ``--quick``). The warm replay's median is also
-  regression-gated against the committed ``BENCH_PR6.json`` in full mode.
+  ratio-gated: a ratio measured on the same machine in the same process,
+  so it holds on any hardware and runs under ``--quick`` too). The warm
+  replay's median is also regression-gated against the committed
+  ``BENCH_PR6.json`` in full mode.
 
-The search-layer speedup deliberately excludes the HiGHS LP solves: LP time
-dominates end-to-end runs, so gating the ratio there would measure the LP
-solver, not the incremental engine. The layers that replaced the LPs are
-gated by deterministic counters instead (enforced in every mode, including
-``--quick`` — counters don't depend on hardware):
+The solver's inner layers are gated by deterministic counters instead
+(enforced in every mode, including ``--quick`` — counters don't depend on
+hardware):
 
 * **Flow-LP gate** — the default solve takes its phase-1 start and its
   exact lower bound from Lagrangian min-cost flows, so the E7 full-solver
@@ -41,6 +36,11 @@ gated by deterministic counters instead (enforced in every mode, including
   ``search.ratio.newton_steps`` ceiling on the E5 cancellation kernel, so a change
   that makes the Newton iteration converge more slowly fails in every
   mode.
+* **Aux-graph gate** — the layered graphs the bicameral sweep builds are
+  held to a deterministic ``search.aux_edges`` ceiling on the same kernel,
+  so a change that makes the sweep build more or larger levels fails.
+  (This replaced wall-clock speedup floors on a synthetic residual drift
+  that timed an aux-graph cache no benchmark workload ever hit.)
 
 Usage::
 
@@ -58,8 +58,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
@@ -71,12 +69,9 @@ ONLINE_OUT = REPO_ROOT / "BENCH_PR6.json"
 SCHEMA = "bench-gate/1"
 ONLINE_SCHEMA = "bench-online/1"
 
-# Search-layer speedup floors (ISSUE acceptance criteria). The online
-# resolve floor is the PR 6 acceptance bar: warm re-solving a pinned
-# E10-scale churn trace must beat from-scratch solving by >= 2x.
+# The online resolve floor is the PR 6 acceptance bar: warm re-solving a
+# pinned E10-scale churn trace must beat from-scratch solving by >= 2x.
 SPEEDUP_FLOORS = {
-    "e6_search_layer": 2.0,
-    "e10_search_layer": 1.5,
     "e10_online_resolve": 2.0,
 }
 
@@ -94,7 +89,12 @@ FLOW_LP_CEILINGS = {
 NEWTON_STEP_CEILINGS = {
     "e5_cancellation": 111,
 }
-# Budget levels swept by the search-layer kernels — a pinned prefix of the
+# Deterministic aux-graph size ceilings per kernel: the E5 measurement when
+# the aux-graph cache was removed (203,927 edges built) plus 5%.
+AUX_EDGE_CEILINGS = {
+    "e5_cancellation": 214_123,
+}
+# Budget levels of the F2 construction kernel — a pinned prefix of the
 # production finder's doubling schedule.
 B_VALUES = (1, 2, 4, 8, 16)
 
@@ -106,23 +106,6 @@ def _median_time(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
-
-
-def _best_time(fn, repeats: int) -> float:
-    """Minimum wall-clock over ``repeats`` runs.
-
-    Used for the same-process speedup ratios: scheduler noise only ever
-    *adds* time, so min-of-N is the stablest estimator of intrinsic cost
-    and keeps ratio gates near their floor from flaking. Medians stay in
-    use for the committed-baseline kernels, where they describe typical
-    (not best-case) behavior.
-    """
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
 
 
 def _counters_of(fn) -> dict:
@@ -236,82 +219,11 @@ _E6_FIXTURE = None
 
 
 # ---------------------------------------------------------------------------
-# search-layer speedup kernels (ratio-gated, hardware independent)
-# ---------------------------------------------------------------------------
-
-
-def _solution_sequence(g, rounds, flips_per_round, seed):
-    """A deterministic drift of solution edge sets, mimicking the small
-    symmetric differences produced by successive cycle cancellations."""
-    rng = np.random.default_rng(seed)
-    sol = set(
-        int(e) for e in rng.choice(g.m, size=min(g.m // 3 + 1, g.m), replace=False)
-    )
-    seq = [sorted(sol)]
-    for _ in range(rounds):
-        for e in rng.choice(g.m, size=min(flips_per_round, g.m), replace=False):
-            sol.symmetric_difference_update({int(e)})
-        seq.append(sorted(sol))
-    return seq
-
-
-def _search_layer_ratio(n, seed, rounds=10, flips_per_round=4):
-    """Median from-scratch vs incremental time over one solution drift.
-
-    Per round both sides produce the residual of the current solution and
-    the full ``B_VALUES`` ladder of shifted auxiliary graphs — exactly the
-    work :func:`~repro.core.search.find_bicameral_cycle` consumes, minus
-    the (unchanged) Bellman–Ford probes and LP solves.
-    """
-    from repro.core import build_residual
-    from repro.core.auxgraph import build_aux_shifted
-    from repro.perf import IncrementalSearch
-
-    from repro.graph import anticorrelated_weights, gnp_digraph
-
-    g = anticorrelated_weights(gnp_digraph(n, 0.35, rng=seed), rng=seed + 1)
-    seq = _solution_sequence(g, rounds, flips_per_round, seed + 2)
-
-    def scratch():
-        for sol in seq:
-            residual = build_residual(g, sol)
-            for b in B_VALUES:
-                build_aux_shifted(residual.graph, b)
-
-    def incremental():
-        engine = IncrementalSearch(g)
-        for sol in seq:
-            residual = engine.residual_for(sol)
-            for b in B_VALUES:
-                engine.aux_provider(residual.graph, b)
-
-    t_scratch = _best_time(scratch, repeats=5)
-    t_incr = _best_time(incremental, repeats=5)
-    return t_scratch / t_incr if t_incr > 0 else float("inf")
-
-
-def measure_speedups(quick: bool) -> dict:
-    # The ladder of rounds amortizes the cache's first build; 12 matches a
-    # realistic cancellation-run length and is cheap at both scales.
-    rounds = 12
-    return {
-        "e6_search_layer": {
-            "ratio": round(_search_layer_ratio(10, seed=6600, rounds=rounds), 3),
-            "floor": SPEEDUP_FLOORS["e6_search_layer"],
-        },
-        "e10_search_layer": {
-            "ratio": round(_search_layer_ratio(40, seed=1040, rounds=rounds), 3),
-            "floor": SPEEDUP_FLOORS["e10_search_layer"],
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
 # online warm-vs-cold resolve kernel (PR 6, ratio-gated + BENCH_PR6.json)
 # ---------------------------------------------------------------------------
 
-# Pinned E10-scale churn workload: the e10_search_layer substrate (n = 40
-# anticorrelated ER) under an 8-delta feasibility-preserving churn trace.
+# Pinned E10-scale churn workload: an n = 40 anticorrelated ER instance
+# under an 8-delta feasibility-preserving churn trace.
 # Churn seed 62 is pinned because its replay stays warm on every step —
 # the kernel measures the warm path, not the (separately tested) fallback
 # taxonomy — and because none of its deltas tighten the delay budget into
@@ -438,7 +350,7 @@ def run_gate(args) -> int:
     if args.baseline.exists():
         baseline = json.loads(args.baseline.read_text())
 
-    report = {"schema": SCHEMA, "quick": bool(args.quick), "kernels": {}, "speedups": {}}
+    report = {"schema": SCHEMA, "quick": bool(args.quick), "kernels": {}}
     failures = []
 
     for name, fn in KERNELS.items():
@@ -467,50 +379,29 @@ def run_gate(args) -> int:
                     )
         print(line)
 
-    # -- flow-LP gate: deterministic solve-count ceilings
-    flow_lp_counters = {
+    # -- deterministic counter ceilings: flow-LP solves, Newton steps and
+    # aux-graph edges
+    kernel_counters = {
         name: entry["counters"] for name, entry in report["kernels"].items()
     }
-    flow_lp_counters["e10_online_warm"] = _counters_of(kernel_online_warm)
-    report["flow_lp"] = {
-        "solves": {
-            name: kernel_counters.get("lp.flow_lp.solves", 0)
-            for name, kernel_counters in flow_lp_counters.items()
-        },
-        "ceilings": FLOW_LP_CEILINGS,
-    }
-    for kname, ceiling in FLOW_LP_CEILINGS.items():
-        solves = report["flow_lp"]["solves"][kname]
-        print(f"{kname:18s} lp.flow_lp.solves {solves:5d} (ceiling {ceiling})")
-        if solves > ceiling:
-            failures.append(
-                f"{kname}: lp.flow_lp.solves {solves} exceeds the ceiling {ceiling}"
-            )
-
-    # -- ratio search gate: deterministic Newton-step ceilings
-    report["ratio_search"] = {
-        "newton_steps": {
-            name: entry["counters"].get("search.ratio.newton_steps", 0)
-            for name, entry in report["kernels"].items()
-        },
-        "ceilings": NEWTON_STEP_CEILINGS,
-    }
-    for kname, ceiling in NEWTON_STEP_CEILINGS.items():
-        steps = report["ratio_search"]["newton_steps"][kname]
-        print(f"{kname:18s} search.ratio.newton_steps {steps:5d} (ceiling {ceiling})")
-        if steps > ceiling:
-            failures.append(
-                f"{kname}: search.ratio.newton_steps {steps} exceeds the ceiling {ceiling}"
-            )
-
-    report["speedups"] = measure_speedups(args.quick)
-    for name, entry in report["speedups"].items():
-        print(f"{name:18s} speedup {entry['ratio']:6.2f}x (floor {entry['floor']}x)")
-        if entry["ratio"] < entry["floor"]:
-            failures.append(
-                f"{name}: speedup {entry['ratio']}x below the "
-                f"{entry['floor']}x floor"
-            )
+    kernel_counters["e10_online_warm"] = _counters_of(kernel_online_warm)
+    for block, key, counter, ceilings in (
+        ("flow_lp", "solves", "lp.flow_lp.solves", FLOW_LP_CEILINGS),
+        ("ratio_search", "newton_steps", "search.ratio.newton_steps",
+         NEWTON_STEP_CEILINGS),
+        ("aux_graph", "aux_edges", "search.aux_edges", AUX_EDGE_CEILINGS),
+    ):
+        values = {
+            name: counters.get(counter, 0)
+            for name, counters in kernel_counters.items()
+        }
+        report[block] = {key: values, "ceilings": ceilings}
+        for kname, ceiling in ceilings.items():
+            print(f"{kname:18s} {counter} {values[kname]:7d} (ceiling {ceiling})")
+            if values[kname] > ceiling:
+                failures.append(
+                    f"{kname}: {counter} {values[kname]} exceeds the ceiling {ceiling}"
+                )
 
     online = measure_online_resolve(repeats)
     print(
@@ -564,7 +455,8 @@ def main(argv=None) -> int:
         "--quick",
         action="store_true",
         help="CI mode: fewer repeats, skip the hardware-dependent baseline "
-        "comparison (speedup ratios are still enforced)",
+        "comparison (the online speedup ratio and the counter ceilings are "
+        "still enforced)",
     )
     parser.add_argument(
         "--repeats", type=int, default=5, help="timing repeats per kernel"

@@ -86,17 +86,6 @@ class AuxGraph:
         return [int(self.orig_eid[e]) for e in h_edges if self.orig_eid[e] >= 0]
 
 
-def layer_window_counts(cost: np.ndarray, B: int) -> np.ndarray:
-    """Per-edge copy count in the shifted graph of radius ``B``.
-
-    Equals ``max(0, 2B + 1 - |c|)`` — symmetric in the sign of ``c``, which
-    is what lets :class:`repro.perf.auxcache.AuxCache` patch a cancelled
-    cycle's copies *in place*: negating an edge's cost never changes how
-    many layer copies it owns, only which layers they sit on.
-    """
-    return np.maximum(2 * B + 1 - np.abs(np.asarray(cost, dtype=np.int64)), 0)
-
-
 def _layered_edges(
     g: DiGraph,
     n_layers: int,
@@ -136,10 +125,8 @@ def shifted_wrap_arrays(
 
     Ordering is vertex-major with ``c0 = 1..B`` inner and the ``(+c0,
     -c0)`` pair innermost — the enumeration order the original Python loop
-    produced, kept bit-identical so cached and from-scratch constructions
-    agree edge for edge. Wraps depend only on ``(n, B)`` (never on the
-    residual weights), which is what makes them shareable across
-    cancellation iterations.
+    produced, kept so the searches over ``H`` see wraps in the same order.
+    Wraps depend only on ``(n, B)``, never on the residual weights.
     """
     n_layers = 2 * B + 1
     base = np.arange(n, dtype=np.int64) * n_layers + B  # (v, cost 0) node

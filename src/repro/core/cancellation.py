@@ -158,11 +158,10 @@ def cancel_to_feasibility(
     incremental:
         Use the :mod:`repro.perf` incremental search engine: the residual
         graph is kept alive across iterations and advanced by in-place
-        edge flips, and the production finder's auxiliary graphs come
-        from a version-keyed cache. Bit-identical to the from-scratch
-        path for both finders (differentially tested); ``False`` keeps
-        that from-scratch path only as the reference the differential
-        suite compares against.
+        edge flips. Bit-identical to the from-scratch path for both
+        finders (differentially tested); ``False`` keeps that
+        from-scratch path only as the reference the differential suite
+        compares against.
     meter:
         Armed :class:`repro.robustness.BudgetMeter` for **anytime**
         semantics: every stopping rule (deadline, iteration caps, search

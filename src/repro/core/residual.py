@@ -39,9 +39,9 @@ class ResidualGraph:
         Boolean array: ``reversed_mask[i]`` iff original edge ``i`` is in
         the solution and therefore appears reversed/negated.
     version:
-        Edge-set version, bumped by every :meth:`apply_flip`. Cache keys in
-        :mod:`repro.perf` are ``(id(residual), version, B)`` — any in-place
-        delta invalidates everything keyed on the old version.
+        Edge-set version, bumped by every in-place delta. The journal
+        records it with each iteration, and resume checks the restored
+        residual against it.
     """
 
     graph: DiGraph
@@ -78,10 +78,7 @@ class ResidualGraph:
         ``cost``/``delay`` are the new nonnegative input-graph weights,
         aligned with ``edge_ids``; reversed residual edges store them
         negated (Definition 6). Edge ids must be unique. Endpoints and
-        therefore CSR indices are untouched, but any cache keyed on the
-        old version (:class:`repro.perf.AuxCache`) must be told via its
-        reweight hook — weight changes are not flips, so the parity-folded
-        flip log cannot express them.
+        therefore CSR indices are untouched.
 
         Returns the touched ids (sorted).
         """

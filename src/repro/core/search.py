@@ -42,9 +42,9 @@ from repro.robustness.budget import BudgetMeter
 
 #: Auxiliary-graph construction hook: ``(residual DiGraph, B) -> AuxGraph``,
 #: signature-compatible with :func:`build_aux_shifted`. The incremental
-#: engine (:mod:`repro.perf`) plugs its cache in here; any provider must
-#: return graphs bit-identical to a fresh build for the search to stay
-#: equivalent to the from-scratch path.
+#: engine (:mod:`repro.perf`) passes its ownership-checked
+#: ``aux_provider``, which builds fresh; the seam stays because the
+#: benchmark's layer tracer times that method by name.
 AuxProvider = Callable[..., AuxGraph]
 
 
@@ -133,10 +133,10 @@ def find_bicameral_cycle(
     """Search-and-select with early stopping (the production path).
 
     ``aux_provider`` (signature-compatible with
-    :func:`~repro.core.auxgraph.build_aux_shifted`) swaps in a cached
-    construction — :meth:`repro.perf.IncrementalSearch.aux_provider` —
-    whose outputs are bit-identical to a fresh build, so the sweep's
-    control flow and every ratio-search input are unchanged.
+    :func:`~repro.core.auxgraph.build_aux_shifted`) replaces the
+    construction call — :meth:`repro.perf.IncrementalSearch.aux_provider`
+    checks the residual is the engine's own and builds fresh, so the
+    sweep's control flow and every ratio-search input are unchanged.
 
     Telemetry: runs under a ``search.bicameral`` span and flushes the
     per-call work (probes, ratio searches, aux-graph sizes, candidates found)

@@ -284,16 +284,6 @@ class DiGraph:
         self._csr_in = patch(old_csr_in, self.head)
         return new_ids
 
-    def invalidate_csr(self) -> None:
-        """Drop cached adjacency indices after an external array mutation.
-
-        For the cache-owned auxiliary graphs in :mod:`repro.perf`, whose
-        delta patches rewrite weight/endpoint values in place; a dropped
-        index rebuilds lazily (and identically) on next use.
-        """
-        self._csr_out = None
-        self._csr_in = None
-
     def _patch_csr(
         self,
         csr: tuple[np.ndarray, np.ndarray],

@@ -7,8 +7,8 @@ noise) on three axes:
 
 * **counter drift**, ranked by contribution — each counter's share of
   the total absolute drift, so the top rows name the work that appeared
-  or vanished (``lp.pivots`` exploding, ``search.aux_cache.hit``
-  collapsing, ...);
+  or vanished (``search.ratio.newton_steps`` exploding,
+  ``online.lb_refresh.multiplier_kept`` collapsing, ...);
 * **phase shares** — root-span time distribution of each run, so a
   shifted bottleneck is visible even when total wall time moved;
 * **wall clock** — reported, never ranked (it is not deterministic).

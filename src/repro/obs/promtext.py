@@ -14,7 +14,7 @@ into the exposition format every Prometheus-compatible scraper speaks:
 
 Dotted telemetry names are mapped to the metric namespace by replacing
 every non-``[a-zA-Z0-9_]`` character with ``_`` and prefixing ``repro_``
-(``search.aux_cache.hit`` → ``repro_search_aux_cache_hit_total``);
+(``search.ratio.newton_steps`` → ``repro_search_ratio_newton_steps_total``);
 duration histograms additionally get a ``_seconds`` unit suffix.
 
 :func:`parse_prometheus` is the inverse — a strict parser used by the

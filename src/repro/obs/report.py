@@ -141,7 +141,8 @@ def validate_trace(trace: Trace) -> list[str]:
     4. summary counts match the body;
     5. the ``cancellation.iterations`` counter equals the number of
        ``cancel.iteration`` events (when either is present);
-    6. the incremental-search counters are internally consistent:
+    6. the retired aux-cache counters, which archived traces still
+       carry, are internally consistent:
        ``search.aux_cache.evict <= search.aux_cache.miss`` (only built
        entries can be evicted), ``search.aux_cache.delta_refresh <=
        search.aux_cache.hit`` (a delta refresh is a stale hit);
@@ -503,8 +504,10 @@ def report_json(trace: Trace, top: int = 10) -> dict[str, Any]:
             }
             for name, cnt, p50, p90, p99, tot in latency_quantiles(trace)
         },
-        # The incremental-search engine's health at a glance (PR 4); the
-        # same keys also appear in "counters"/"gauges" above.
+        # The incremental-search engine's health at a glance; the same
+        # keys also appear in "counters"/"gauges" above. Current code emits
+        # only the residual keys; archived traces also carry the retired
+        # aux-cache counters.
         "search_cache": {
             k: v
             for k, v in sorted({**trace.counters, **trace.gauges}.items())

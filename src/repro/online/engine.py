@@ -4,8 +4,8 @@ The cycle-cancellation scheme repairs an *infeasible* k-flow by cancelling
 only delay-violating cycles, and its infeasibility proof (Algorithm 1 step
 2(a)) is valid from **any** integral k-flow start — not just phase 1's.
 That makes the previous solution a legitimate warm start after a small
-instance change: :func:`resolve` patches the live residual (and its
-aux-graph cache) through the flip-delta machinery of
+instance change: :func:`resolve` patches the live residual through the
+flip-delta machinery of
 :class:`repro.perf.IncrementalSearch`, re-prices the old paths under the
 new weights, and cancels only the newly exposed violating cycles.
 
@@ -145,7 +145,7 @@ class OnlineState:
     Owns the *live* instance (its graph is mutated in place by
     :func:`resolve`), the last solution, the certified cost lower bound,
     and — when the previous resolve stayed warm — the incremental engine
-    whose residual and aux cache carry over to the next delta.
+    whose residual carries over to the next delta.
     ``solution`` is ``None`` before the first successful solve and after
     an infeasible churn step; the next resolve then starts cold
     (``online.fallback.no_prior``) and re-arms the warm machinery.

@@ -86,7 +86,7 @@ def test_every_emitted_counter_is_documented():
 
     docs = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
     # Expand slash-grouped glossary entries like
-    # `search.aux_cache.hit/miss/evict` into full dotted names.
+    # `online.ops.reweight/add/remove/demand` into full dotted names.
     vocab = set()
     for token in re.findall(r"`([^`\n]+)`", docs):
         parts = token.split("/")

@@ -17,8 +17,8 @@ Three layers of guarantees:
 3. **Accounting & process safety** — pivot counts are never silently
    dropped (``lp.pivots_unreported`` instead of a fake 0), solve counters
    fire, the :func:`repro.obs.report.validate_trace` cross-checks accept
-   real traces and reject cooked ones, and engine/cache state pickles
-   cleanly across spawn boundaries.
+   real traces and reject cooked ones, and the engine pickles cleanly
+   across spawn boundaries.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.graph import DiGraph, anticorrelated_weights, gnp_digraph
 from repro.lp import engine as eng
 from repro.lp.engine import LPResult, count_pivots, get_engine
 from repro.lp.flow_lp import incidence_matrix, solve_flow_lp
-from repro.perf.auxcache import AuxCache
 from tests.ratio_oracle import solve_ratio_lp
 
 
@@ -217,24 +216,6 @@ class TestScipyBitCompat:
         assert ref.status == 2
         _assert_same(res, ref, duals=True)
         assert solve_flow_lp(g, 0, 8, 2, 0) is None
-
-    def test_warm_served_aux_is_still_bit_compatible(self):
-        # Aux graphs served (and delta-patched in place) by the cache must
-        # solve exactly like fresh builds of the same residual.
-        res = _residual(2)
-        cache = AuxCache(res)
-        for _ in range(3):
-            aux_cached = cache.get(3)
-            aux_fresh = build_aux_shifted(res.graph, 3)
-            for sign in (+1, -1):
-                a = solve_ratio_lp(aux_cached, sign)
-                b = solve_ratio_lp(aux_fresh, sign)
-                if a is None:
-                    assert b is None
-                else:
-                    assert a.tobytes() == b.tobytes()
-            flips = res.apply_flip([0, 1])
-            cache.note_flips(flips)
 
 
 class TestRatioLPPruning:
@@ -428,33 +409,6 @@ class TestProcessSafety:
         assert clone.backend_name == engine.backend_name
         assert not vars(clone)  # stateless: no HiGHS handle crosses a pickle
         assert clone.solve_flow(g, 0, 7, 2, 40).x.tobytes() == before.x.tobytes()
-
-    def test_auxcache_survives_pickle(self):
-        res = _residual(5)
-        cache = AuxCache(res)
-        cache.get(2)
-        clone = pickle.loads(pickle.dumps(cache))
-        # The clone still serves graphs identical to a fresh build.
-        aux = clone.get(2)
-        fresh = build_aux_shifted(clone._res.graph, 2)
-        assert np.array_equal(aux.graph.tail, fresh.graph.tail)
-        assert np.array_equal(aux.graph.head, fresh.graph.head)
-
-
-class TestAuxCacheGaps:
-    def test_flip_log_gap_forces_rebuild(self):
-        res = _residual(1)
-        cache = AuxCache(res)
-        cache.get(2)
-        res.apply_flip([0])  # version bump the cache never hears about
-        assert cache._parity_since(res.version - 1) is None
-        with obs.session():
-            aux = cache.get(2)
-            snap = obs.snapshot()
-        assert snap.get("search.aux_cache.miss") == 1
-        fresh = build_aux_shifted(res.graph, 2)
-        assert np.array_equal(aux.graph.tail, fresh.graph.tail)
-        assert np.array_equal(aux.graph.head, fresh.graph.head)
 
 
 class TestOnlineResolveLiveness:

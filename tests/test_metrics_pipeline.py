@@ -150,8 +150,8 @@ class TestHistogram:
 
 class TestPrometheusRoundTrip:
     def test_metric_name_sanitization(self):
-        assert metric_name("search.aux_cache.hit", suffix="_total") == \
-            "repro_search_aux_cache_hit_total"
+        assert metric_name("search.ratio.newton_steps", suffix="_total") == \
+            "repro_search_ratio_newton_steps_total"
         assert metric_name("krsp.solve", suffix="_seconds") == \
             "repro_krsp_solve_seconds"
 

@@ -2,12 +2,12 @@
 
 The engine's contract is *bit-identity*: with either finder, a cancellation
 run driven by :class:`~repro.perf.IncrementalSearch` (in-place residual
-deltas, cached auxiliary graphs) must produce the same cancelled cycles, the
-same costs, and the same ``cancel.iteration`` telemetry trail as the
-from-scratch path. These tests enforce that on the committed corpus and on
-random substrates, plus unit-level differentials for every layer the engine
-touches (CSR patching, residual flips, the aux cache) and regression tests
-for the satellite fixes (long-cycle decomposition, transform copy-on-write).
+deltas) must produce the same cancelled cycles, the same costs, and the
+same ``cancel.iteration`` telemetry trail as the from-scratch path. These
+tests enforce that on the committed corpus and on random substrates, plus
+unit-level differentials for every layer the engine touches (CSR patching,
+residual flips, reweights and structural edits) and regression tests for
+the satellite fixes (long-cycle decomposition, transform copy-on-write).
 """
 
 import json
@@ -30,7 +30,7 @@ from repro.graph import anticorrelated_weights, gnp_digraph
 from repro.graph.digraph import DiGraph
 from repro.oracle import load_corpus
 from repro.paths import find_negative_cycle
-from repro.perf import AuxCache, IncrementalSearch
+from repro.perf import IncrementalSearch
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = list(load_corpus(CORPUS_DIR))
@@ -217,11 +217,6 @@ class TestFlipEdges:
         assert res.version == 1
 
 
-# ---------------------------------------------------------------------------
-# aux cache: bit-identity, delta refresh, growth, eviction
-# ---------------------------------------------------------------------------
-
-
 def _assert_aux_equal(a, b):
     assert a.n_layers == b.n_layers and a.offset == b.offset
     assert a.graph.n == b.graph.n and a.graph.m == b.graph.m
@@ -229,71 +224,6 @@ def _assert_aux_equal(a, b):
         assert np.array_equal(getattr(a.graph, arr), getattr(b.graph, arr)), arr
     assert np.array_equal(a.orig_eid, b.orig_eid)
     assert np.array_equal(a.wrap_cost, b.wrap_cost)
-
-
-class TestAuxCache:
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_served_graphs_match_fresh_builds(self, seed):
-        rng = np.random.default_rng(seed)
-        res = _random_residual(rng)
-        if res is None:
-            return
-        cache = AuxCache(res)
-        m = res.graph.m
-        for _ in range(4):
-            for B in (1, 2, 4):
-                _assert_aux_equal(cache.get(B), build_aux_shifted(res.graph, B))
-            flips = res.apply_flip(
-                sorted(
-                    int(e)
-                    for e in rng.choice(
-                        m, size=int(rng.integers(1, m + 1)), replace=False
-                    )
-                )
-            )
-            cache.note_flips(flips)
-
-    def test_growth_from_smaller_level(self):
-        rng = np.random.default_rng(7)
-        res = _random_residual(rng)
-        cache = AuxCache(res)
-        with obs.session():
-            cache.get(2)
-            cache.get(8)  # grown from the B=2 skeleton
-            snap = obs.snapshot()
-        assert snap.get("search.aux_cache.grow", 0) >= 1
-        _assert_aux_equal(cache.get(8), build_aux_shifted(res.graph, 8))
-
-    def test_eviction_under_byte_cap(self):
-        rng = np.random.default_rng(11)
-        res = _random_residual(rng, n=14, p=0.5)
-        with obs.session():
-            cache = AuxCache(res, max_bytes=1)  # everything over cap
-            cache.get(1)
-            cache.get(2)
-            cache.get(4)
-            snap = obs.snapshot()
-        assert snap.get("search.aux_cache.evict", 0) >= 1
-        assert snap["search.aux_cache.evict"] <= snap["search.aux_cache.miss"]
-        # Still serves correct graphs after evictions.
-        _assert_aux_equal(cache.get(4), build_aux_shifted(res.graph, 4))
-
-    def test_hit_and_delta_refresh_counters(self):
-        rng = np.random.default_rng(3)
-        res = _random_residual(rng)
-        with obs.session():
-            cache = AuxCache(res)
-            cache.get(2)
-            cache.get(2)  # exact hit
-            flips = res.apply_flip([0])
-            cache.note_flips(flips)
-            cache.get(2)  # stale hit -> delta refresh
-            snap = obs.snapshot()
-        assert snap["search.aux_cache.hit"] == 2
-        assert snap["search.aux_cache.delta_refresh"] == 1
-        assert snap["search.aux_cache.miss"] == 1
-        _assert_aux_equal(cache.get(2), build_aux_shifted(res.graph, 2))
 
 
 class TestIncrementalSearchEngine:
@@ -598,57 +528,6 @@ class TestStructuralChurn:
             assert np.array_equal(
                 getattr(res.graph, arr), getattr(fresh.graph, arr)
             ), arr
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_auxcache_reweight_serves_fresh_builds(self, seed):
-        rng = np.random.default_rng(seed)
-        res = _random_residual(rng)
-        if res is None or res.graph.m < 2:
-            return
-        cache = AuxCache(res)
-        for B in (1, 2, 4):
-            cache.get(B)
-        m = res.graph.m
-        eids = sorted(
-            int(e)
-            for e in rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
-        )
-        touched = res.reweight_edges(
-            eids, rng.integers(0, 9, size=len(eids)), rng.integers(0, 9, size=len(eids))
-        )
-        cache.note_reweight(touched)
-        for B in (1, 2, 4):
-            _assert_aux_equal(cache.get(B), build_aux_shifted(res.graph, B))
-
-    def test_auxcache_reweight_counters(self):
-        res = build_residual(DiGraph(3, [0, 1, 0], [1, 2, 2], [1, 1, 2], [1, 1, 1]), [])
-        with obs.session():
-            cache = AuxCache(res)
-            cache.get(2)
-            # Same |cost| layout: parity patch.
-            touched = res.reweight_edges([0], [1], [5])
-            cache.note_reweight(touched)
-            # Layout change on some level: drop.
-            touched = res.reweight_edges([0], [7], [5])
-            cache.note_reweight(touched)
-            snap = obs.snapshot()
-        assert snap.get("search.aux_cache.reweight_patch", 0) >= 1
-        assert snap.get("search.aux_cache.reweight_drop", 0) >= 1
-        _assert_aux_equal(cache.get(2), build_aux_shifted(res.graph, 2))
-
-    def test_auxcache_structural_change_clears(self):
-        rng = np.random.default_rng(9)
-        res = _random_residual(rng)
-        with obs.session():
-            cache = AuxCache(res)
-            cache.get(2)
-            cache.note_structural_change()
-            cache.get(2)
-            snap = obs.snapshot()
-        assert snap.get("search.aux_cache.structural_drop", 0) == 1
-        assert snap["search.aux_cache.miss"] == 2
-        _assert_aux_equal(cache.get(2), build_aux_shifted(res.graph, 2))
 
     def test_engine_structural_roundtrip_matches_scratch(self):
         """reweight -> remove -> add through IncrementalSearch equals a
