@@ -42,6 +42,9 @@ hardware):
   (This replaced wall-clock speedup floors on a synthetic residual drift
   that timed an aux-graph cache no benchmark workload ever hit.)
 
+Reports go to ``.bench_build/`` unless ``--out``/``--online-out`` say
+otherwise; only ``--update-baseline`` rewrites the committed baselines.
+
 Usage::
 
     PYTHONPATH=src python scripts/bench_gate.py              # full gate
@@ -64,8 +67,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro._util.atomicio import atomic_write_json  # noqa: E402
 from repro.obs.diff import format_drift_block, rank_counter_drift  # noqa: E402
 
-DEFAULT_OUT = REPO_ROOT / "BENCH_PR9.json"
-ONLINE_OUT = REPO_ROOT / "BENCH_PR6.json"
+DEFAULT_BASELINE = REPO_ROOT / "BENCH_PR9.json"
+ONLINE_BASELINE = REPO_ROOT / "BENCH_PR6.json"
+# Where a run that does not update the baselines writes its reports.
+SCRATCH_OUT = REPO_ROOT / ".bench_build" / "bench_gate.json"
+SCRATCH_ONLINE_OUT = REPO_ROOT / ".bench_build" / "bench_online.json"
 SCHEMA = "bench-gate/1"
 ONLINE_SCHEMA = "bench-online/1"
 
@@ -449,7 +455,9 @@ def run_gate(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line and resolve where the reports go: the
+    baselines under ``--update-baseline``, else the scratch paths."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick",
@@ -470,31 +478,47 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline",
         type=Path,
-        default=DEFAULT_OUT,
+        default=DEFAULT_BASELINE,
         help="committed baseline JSON to compare against",
     )
     parser.add_argument(
-        "--out", type=Path, default=DEFAULT_OUT, help="where to write the report"
+        "--out",
+        type=Path,
+        default=None,
+        help=f"where to write the report (default {SCRATCH_OUT.relative_to(REPO_ROOT)}, "
+        "or --baseline under --update-baseline)",
     )
     parser.add_argument(
         "--online-baseline",
         type=Path,
-        default=ONLINE_OUT,
+        default=ONLINE_BASELINE,
         help="committed online-resolve baseline JSON to compare against",
     )
     parser.add_argument(
         "--online-out",
         type=Path,
-        default=ONLINE_OUT,
-        help="where to write the online-resolve report",
+        default=None,
+        help="where to write the online-resolve report (default "
+        f"{SCRATCH_ONLINE_OUT.relative_to(REPO_ROOT)}, or --online-baseline "
+        "under --update-baseline)",
     )
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="skip the regression comparison and rewrite the baseline",
+        help="skip the regression comparison and rewrite the baselines",
     )
     args = parser.parse_args(argv)
-    return run_gate(args)
+    if args.out is None:
+        args.out = args.baseline if args.update_baseline else SCRATCH_OUT
+    if args.online_out is None:
+        args.online_out = (
+            args.online_baseline if args.update_baseline else SCRATCH_ONLINE_OUT
+        )
+    return args
+
+
+def main(argv=None) -> int:
+    return run_gate(parse_args(argv))
 
 
 if __name__ == "__main__":

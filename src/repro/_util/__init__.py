@@ -1,16 +1,14 @@
-"""Internal utilities: addressable heap, RNG helpers, timers, integer math.
+"""Internal utilities: RNG helpers, timers, integer math, atomic writes.
 
 Nothing in here is part of the public API; modules under :mod:`repro._util`
 may change without notice.
 """
 
-from repro._util.heap import AddressableHeap
 from repro._util.rng import spawn_rng, as_rng
 from repro._util.timer import Timer
 from repro._util.intmath import ratio_le, ratio_lt, ratio_cmp, ceil_div, floor_div
 
 __all__ = [
-    "AddressableHeap",
     "spawn_rng",
     "as_rng",
     "Timer",

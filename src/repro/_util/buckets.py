@@ -8,8 +8,8 @@ optimization guides' favourite shape).
 
 Supports the monotone use pattern only: keys popped in nondecreasing order,
 and a pushed/decreased key is never below the last popped key. Dijkstra
-satisfies this; general priority-queue users should stay with
-:class:`repro._util.heap.AddressableHeap`.
+satisfies this; general priority-queue users should stay with a
+:mod:`heapq` queue.
 """
 
 from __future__ import annotations

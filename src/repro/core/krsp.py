@@ -2,7 +2,8 @@
 
 :func:`solve_krsp` wires the whole pipeline together:
 
-1. structural feasibility (``k`` disjoint paths at all?) via max-flow;
+1. exact feasibility: the min-delay ``k``-flow, which is absent when fewer
+   than ``k`` disjoint paths exist and misses ``D`` when no solution does;
 2. optional Theorem-4 epsilon-scaling (polynomial mode);
 3. a phase-1 provider (Lemma 5 from exact Lagrangian k-flows by default —
    the paper's Algorithm 1 step 1, without an LP);
@@ -43,10 +44,11 @@ from repro.errors import (
     InfeasibleInstanceError,
     InputError,
 )
-from repro.flow.maxflow import has_k_disjoint_paths
 from repro.lp.flow_lp import solve_flow_lp
-# Bound here as well for layer tracers (perfbench/tracer.py) that wrap this
-# module's flow calls; the solve reaches it through phase 1's fastest_flow.
+# Bound here for layer tracers (perfbench/tracer.py) that wrap this
+# module's flow calls. The solve calls neither: min_cost_k_flow is reached
+# through phase 1's fastest_flow, which also rejects fewer than k paths.
+from repro.flow.maxflow import has_k_disjoint_paths  # noqa: F401
 from repro.flow.mincost import min_cost_k_flow  # noqa: F401
 from repro.flow.decompose import decompose_flow, strip_improving_cycles
 from repro.graph.digraph import DiGraph
@@ -106,6 +108,11 @@ class KRSPSolution:
         Machine-checkable quality residue (delay slack, cost-bound gap,
         budget odometer). Always populated; most useful when
         ``status != "ok"``.
+    multiplier:
+        Phase 1's Lagrangian multiplier
+        (:attr:`repro.core.phase1.Phase1Result.multiplier`), the warm
+        start of an online session's bound refreshes. ``None`` when the
+        provider has none or scaling ran. Not serialised.
     """
 
     paths: list[list[int]]
@@ -122,6 +129,7 @@ class KRSPSolution:
     counters: dict[str, int] = field(default_factory=dict)
     status: str = STATUS_OK
     certificate: Certificate | None = None
+    multiplier: Fraction | None = None
 
 
 def _cost_cap_upper_bound(
@@ -204,7 +212,10 @@ def solve_krsp(
     Raises
     ------
     InfeasibleInstanceError
-        When no ``k`` disjoint delay-feasible paths exist.
+        When no ``k`` disjoint delay-feasible paths exist. The first step
+        decides this exactly with one min-delay ``k``-flow: the flow is
+        absent when fewer than ``k`` edge-disjoint paths exist, and its
+        delay exceeds ``delay_bound`` when no solution meets the budget.
     InputError
         When ``phase1`` names no provider.
     """
@@ -261,13 +272,10 @@ def _solve_krsp_impl(
     inst = KRSPInstance(graph=g, s=s, t=t, k=k, delay_bound=delay_bound)
 
     with timer.section("feasibility"):
-        if not has_k_disjoint_paths(g, s, t, k):
-            raise InfeasibleInstanceError(
-                f"graph admits fewer than k={k} edge-disjoint s-t paths"
-            )
         # Exact feasibility oracle: the minimum total delay over k disjoint
-        # paths is a plain min-cost-flow problem under the delay weight; if
-        # even that exceeds D, no solution exists and the cancellation loop
+        # paths is a plain min-cost-flow problem under the delay weight. The
+        # flow raises when fewer than k edge-disjoint paths exist; if its
+        # delay exceeds D, no solution exists and the cancellation loop
         # must never start. The flow is cost tie-broken, so the cost cap and
         # the Lagrangian phase 1 reuse it.
         min_delay_flow = fastest_flow(inst)
@@ -408,6 +416,7 @@ def _solve_krsp_impl(
         scaled=scaled,
         timings=timer.as_dict(),
         meter=meter,
+        multiplier=p1.multiplier if p1 is not None and not scaled else None,
     )
 
 
@@ -423,6 +432,7 @@ def assemble_solution(
     scaled: bool,
     timings: dict[str, float],
     meter: BudgetMeter | None,
+    multiplier: Fraction | None = None,
 ) -> KRSPSolution:
     """Assemble the :class:`KRSPSolution` (status, certificate, telemetry).
 
@@ -491,6 +501,7 @@ def assemble_solution(
         timings=timings,
         status=status,
         certificate=certificate,
+        multiplier=multiplier,
     )
 
 

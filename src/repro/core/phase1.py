@@ -71,6 +71,10 @@ class Phase1Result:
         ``cost_lower_bound`` is exactly the flow-LP optimum (a min-cost
         flow that meets ``D``, or a converged Lagrangian dual), so the
         caller needs no LP for its lower bound.
+    multiplier:
+        The Lagrangian multiplier the Lemma 5 walk ended on (``0`` when
+        the min-cost flow meets ``D``), as :func:`flow_lp_bound` returns
+        it; ``None`` from providers without that walk.
     """
 
     solution: PathSet
@@ -78,6 +82,7 @@ class Phase1Result:
     provider: str
     flow_lp: FlowLpResult | None = None
     bound_is_lp_optimum: bool = False
+    multiplier: Fraction | None = None
 
 
 def _paths_from_mask(inst: KRSPInstance, mask: np.ndarray) -> PathSet:
@@ -333,6 +338,7 @@ def phase1_lagrangian_lemma5(
             cost_lower_bound=Fraction(cheap.cost),
             provider="lagrangian_lemma5",
             bound_is_lp_optimum=True,
+            multiplier=Fraction(0),
         )
     fast = fastest or fastest_flow(inst)
     cheap, fast, bound, converged = _bracket(inst, cheap, fast)
@@ -352,6 +358,7 @@ def phase1_lagrangian_lemma5(
         cost_lower_bound=bound,
         provider="lagrangian_lemma5",
         bound_is_lp_optimum=converged,
+        multiplier=_slope(cheap, fast),
     )
 
 
@@ -423,7 +430,12 @@ def flow_lp_bound(
     )
     if not converged:
         obs.inc("phase1.larac.unconverged")
-    return bound, Fraction(fast.cost - cheap.cost, cheap.delay - fast.delay)
+    return bound, _slope(cheap, fast)
+
+
+def _slope(cheap: KFlow, fast: KFlow) -> Fraction:
+    """The multiplier at which the walk's two endpoints tie."""
+    return Fraction(fast.cost - cheap.cost, cheap.delay - fast.delay)
 
 
 #: Provider every solve entry point uses unless told otherwise.

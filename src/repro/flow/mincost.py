@@ -13,15 +13,19 @@ of kRSP).
 The weight array is a parameter: the Lagrangian phase-1 providers call this
 with ``den*c + num*d`` blends, the min-sum baseline with ``c`` alone, and the
 feasibility gate with the lexicographic ``(delay, cost)`` weight of
-:func:`lexicographic_weights`.
+:func:`lexicographic_weights`. That gate is also the solver's only test
+that ``k`` edge-disjoint paths exist: this returns ``None`` when they do
+not.
 
 The search runs over Python lists and ints. Weights are exact at any size
 (blends of large costs and delays would overflow int64), and list indexing
-is several times cheaper than reading numpy scalars one at a time.
+is several times cheaper than reading numpy scalars one at a time. Each
+Dijkstra runs on a :mod:`heapq` queue and stops once ``t`` is settled.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro._util.heap import AddressableHeap
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 
@@ -143,6 +146,14 @@ def _augment_once(
     Mutates ``used`` and the potentials ``pi`` in place. Returns
     ``(augmented, dijkstra_pops)``; ``augmented`` is False when ``t`` is
     unreachable in the residual (max flow exhausted).
+
+    Dijkstra stops as soon as ``t`` is settled. Every vertex still open is
+    then at least ``dist[t]`` away, and ``dist[t]`` is exactly where the
+    potential update caps every distance, so the new potentials, the
+    augmenting path and hence every later round are those of a full
+    search. The queue holds ``(reduced distance, vertex)`` pairs with lazy
+    deletion; a stale entry is skipped before it is counted, so
+    ``dijkstra_pops`` counts settled vertices.
     """
     inf = math.inf
     # Dijkstra on the residual graph under reduced weights.
@@ -151,14 +162,17 @@ def _augment_once(
     pred = [0] * n
     done = [False] * n
     dist[s] = 0
-    heap = AddressableHeap(n)
-    heap.push(s, 0)
-    relax = heap.push_or_decrease
+    heap = [(0, s)]
+    pop, push = heapq.heappop, heapq.heappush
     pops = 0
     while heap:
-        u, du = heap.pop()
+        du, u = pop(heap)
+        if done[u]:
+            continue
         pops += 1
         done[u] = True
+        if u == t:
+            break
         base = du + pi[u]
         for e in out_adj[u]:
             if used[e]:
@@ -172,7 +186,7 @@ def _augment_once(
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = e + 1
-                relax(v, nd)
+                push(heap, (nd, v))
         for e in in_adj[u]:
             if not used[e]:
                 continue
@@ -185,12 +199,13 @@ def _augment_once(
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = -(e + 1)
-                relax(v, nd)
+                push(heap, (nd, v))
     dt = dist[t]
     if dt == inf:
         return False, pops  # max flow exhausted
-    # Update potentials; unreached vertices keep pi via dist capped at
-    # dist[t] (standard trick keeps future reduced weights valid).
+    # Update potentials with dist capped at dist[t]: every vertex not
+    # settled is at least that far, and the cap keeps future reduced
+    # weights valid (standard trick).
     for v in range(n):
         dv = dist[v]
         pi[v] += dv if dv < dt else dt

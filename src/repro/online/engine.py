@@ -21,7 +21,8 @@ as a cold solve. The engine maintains a certified cost lower bound ``LB``:
   lower the optimum, so ``LB`` is refreshed to the delay-budgeted flow
   LP's exact optimum (``online.lb_refresh``) by
   :func:`repro.core.phase1.flow_lp_bound`, warm-started from the
-  session's last Lagrangian multiplier. Two integer min-cost flows
+  session's last Lagrangian multiplier (at first, the one the cold
+  solve's phase 1 ended on). Two integer min-cost flows
   usually confirm that multiplier is still optimal
   (``online.lb_refresh.multiplier_kept``); otherwise the walk resumes
   from them. No LP is solved.
@@ -150,8 +151,8 @@ class OnlineState:
     an infeasible churn step; the next resolve then starts cold
     (``online.fallback.no_prior``) and re-arms the warm machinery.
     ``multiplier`` is the Lagrangian multiplier the last bound refresh
-    ended on, the next refresh's warm start; like ``engine`` it is
-    derived state and is not persisted.
+    or cold solve ended on, the next refresh's warm start; like
+    ``engine`` it is derived state and is not persisted.
     """
 
     instance: KRSPInstance
@@ -188,6 +189,7 @@ def start_online(
         solution=sol,
         lower_bound=sol.cost_lower_bound,
         phase1=phase1,
+        multiplier=sol.multiplier,
     )
 
 
@@ -600,6 +602,8 @@ def _resolve_cold(
         raise
     state.solution = sol
     state.lower_bound = sol.cost_lower_bound
+    if sol.multiplier is not None:
+        state.multiplier = sol.multiplier
     obs.emit(
         "online.resolve",
         mode="cold",

@@ -12,10 +12,11 @@ paths as edge-id lists (the library-wide path representation).
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro import obs
-from repro._util.heap import AddressableHeap
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 
@@ -72,12 +73,12 @@ def dijkstra(
     heads = g.head
     pi = potential
 
-    # The heap orders vertices by *reduced* distance (true distance shifted
-    # by pi[v] - pi[source], a per-vertex constant), so relaxation order is
-    # correct; `dist` always stores true distances.
-    heap = AddressableHeap(g.n)
+    # The heap orders (reduced distance, vertex) pairs: true distance shifted
+    # by pi[v] - pi[source], a per-vertex constant, so relaxation order is
+    # correct; `dist` always stores true distances. Entries are deleted
+    # lazily: a settled vertex's stale entries are skipped uncounted.
+    heap = [(0, source)]
     dist[source] = 0
-    heap.push(source, 0)
     # Work counters accumulate locally and flush once on exit, so the
     # telemetry-disabled cost inside the loop is a bare integer add.
     pops = 0
@@ -88,7 +89,9 @@ def dijkstra(
     # triage read these counters off failed trials.
     try:
         while heap:
-            u, du_reduced = heap.pop()
+            du_reduced, u = heapq.heappop(heap)
+            if done[u]:
+                continue
             pops += 1
             done[u] = True
             if u == target:
@@ -114,7 +117,7 @@ def dijkstra(
                     relaxations += 1
                     dist[v] = cand_true
                     pred[v] = e
-                    heap.push_or_decrease(v, du_reduced + red)
+                    heapq.heappush(heap, (du_reduced + red, v))
     finally:
         obs.add("dijkstra.pops", pops)
         obs.add("dijkstra.relaxations", relaxations)

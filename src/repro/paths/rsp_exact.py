@@ -16,13 +16,14 @@ contract, so Dijkstra is sound). The answer minimizes over all layers
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.paths.dijkstra import INF
 from repro.robustness.budget import checkpoint
-from repro._util.heap import AddressableHeap
 
 
 def rsp_exact(
@@ -108,11 +109,12 @@ def _close_zero_delay_layer(
 ) -> None:
     """Multi-source Dijkstra over the zero-delay subgraph, updating ``row``
     (costs) and ``pred_row`` in place."""
-    heap = AddressableHeap(g.n)
-    for v in np.nonzero(row < INF)[0]:
-        heap.push(int(v), int(row[v]))
+    # (cost, vertex) pairs with lazy deletion: an entry above the row's
+    # current cost is stale.
+    heap = [(int(row[v]), int(v)) for v in np.nonzero(row < INF)[0]]
+    heapq.heapify(heap)
     while heap:
-        u, du = heap.pop()
+        du, u = heapq.heappop(heap)
         if du > row[u]:
             continue
         for e in zero_out.get(u, ()):
@@ -121,7 +123,7 @@ def _close_zero_delay_layer(
             if cand < row[v]:
                 row[v] = cand
                 pred_row[v] = e * (D + 1) + layer
-                heap.push_or_decrease(v, cand)
+                heapq.heappush(heap, (cand, v))
 
 
 def _reconstruct(

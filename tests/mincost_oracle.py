@@ -1,18 +1,20 @@
 """The numpy successive-shortest-path min-cost k-flow, kept as a test oracle.
 
 :func:`repro.flow.mincost.min_cost_k_flow` runs the same algorithm over
-Python lists and ints: the same residual scan order, the same
-:class:`~repro._util.heap.AddressableHeap` and the same strict-improvement
+Python lists and ints: the same residual scan order, the same ``heapq``
+order on ``(reduced distance, vertex)`` and the same strict-improvement
 relaxation, so on every input both return the same edge mask and weight.
 This copy indexes int64 arrays, which is how the solver ran before the list
-rewrite; the tests compare the two on random graphs with many ties.
+rewrite, and runs each Dijkstra to exhaustion where the solver stops at
+``t``; the tests compare the two on random graphs with many ties.
 """
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
-from repro._util.heap import AddressableHeap
 from repro.errors import GraphError
 from repro.flow.mincost import MinCostFlowResult
 from repro.graph.digraph import DiGraph
@@ -82,12 +84,13 @@ def _augment_once(
     # pred packs (edge, direction): +e+1 forward, -(e+1) backward.
     pred = np.zeros(g.n, dtype=np.int64)
     dist[s] = 0
-    heap = AddressableHeap(g.n)
-    heap.push(s, 0)
+    heap = [(0, s)]
     done = np.zeros(g.n, dtype=bool)
     pops = 0
     while heap:
-        u, du = heap.pop()
+        du, u = heapq.heappop(heap)
+        if done[u]:
+            continue
         pops += 1
         done[u] = True
         for e in out_eids[out_starts[u] : out_starts[u + 1]]:
@@ -104,7 +107,7 @@ def _augment_once(
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = e + 1
-                heap.push_or_decrease(v, nd)
+                heapq.heappush(heap, (nd, v))
         for e in in_eids[in_starts[u] : in_starts[u + 1]]:
             e = int(e)
             if not used[e]:
@@ -119,7 +122,7 @@ def _augment_once(
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = -(e + 1)
-                heap.push_or_decrease(v, nd)
+                heapq.heappush(heap, (nd, v))
     if dist[t] >= INF:
         return False, pops, pi  # max flow exhausted
     # Update potentials; unreached vertices keep pi via dist capped at

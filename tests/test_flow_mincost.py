@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
+from repro import obs
 from repro.errors import GraphError
 from repro.flow import min_cost_k_flow, suurballe_k_paths
 from repro.flow.mincost import lexicographic_weights
@@ -160,6 +161,31 @@ def test_list_flow_matches_numpy_oracle(seed, n, p, k, span):
         if new is not None:
             assert new.weight == old.weight
             assert np.array_equal(new.used, old.used)
+
+
+def test_dijkstra_stops_once_t_is_settled():
+    """A branch farther away than ``t`` is never settled: each round pops
+    only up to ``t``, and the flow is the one a full search finds."""
+    g, ids = from_edges(
+        [
+            ("s", "t", 1, 0),
+            ("s", "a", 2, 0),
+            ("a", "t", 2, 0),
+            ("s", "far", 10, 0),
+            ("far", "x", 1, 0),
+        ]
+    )
+    s, t = ids["s"], ids["t"]
+    with obs.session():
+        res = min_cost_k_flow(g, s, t, 2)
+        snap = obs.snapshot()
+    # Round 1 settles s, t; round 2 settles s, a, t. A full search would
+    # also settle a, far, x in round 1 and far, x in round 2 (10 pops).
+    assert snap["mincost.dijkstra_pops"] == 5
+    assert snap["mincost.augmentations"] == 2
+    full = numpy_min_cost_k_flow(g, s, t, 2)
+    assert res.weight == full.weight == 5
+    assert np.array_equal(res.used, full.used)
 
 
 def test_lexicographic_weights_recover_the_primary_minimum():

@@ -32,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core import solve_krsp
+from repro.core.phase1 import flow_lp_bound
 from repro.core.verify import verify_solution
 from repro.errors import GraphError, InfeasibleInstanceError, InputError
 from repro.graph import anticorrelated_weights, from_edges, gnp_digraph
@@ -545,8 +546,9 @@ class TestExactLowerBound:
     @staticmethod
     def _session():
         # Base 2 under churn seed 1 stays warm for 12 steps; its 11 bound
-        # refreshes keep the carried multiplier 5 times, run cold 4 times
-        # (no multiplier yet, or multiplier 0) and resume the walk twice.
+        # refreshes keep the carried multiplier 6 times (the first starts
+        # from the cold solve's 5/12), run cold 3 times (multiplier 0) and
+        # resume the walk twice.
         inst = _feasible_base("er", [2])
         trace = generate_churn_trace(inst, 12, rng=1)
         state = start_online(inst.graph, inst.s, inst.t, inst.k, inst.delay_bound)
@@ -562,8 +564,8 @@ class TestExactLowerBound:
             snap = obs.snapshot()
         assert snap.get("lp.flow_lp.solves", 0) == 0
         assert snap["online.lb_refresh"] == 11
-        assert snap["online.lb_refresh.multiplier_kept"] == 5
-        assert snap["online.lb_refresh.cold"] == 4
+        assert snap["online.lb_refresh.multiplier_kept"] == 6
+        assert snap["online.lb_refresh.cold"] == 3
         for (sol, lb, last), (_i, _d, g, s, t, k, bound) in zip(
             seen, replay_instances(trace)
         ):
@@ -582,6 +584,19 @@ class TestExactLowerBound:
             assert sol.status == "ok"
             assert sol.delay <= bound
             assert Fraction(sol.cost) <= 2 * scratch.cost_lower_bound
+
+    def test_first_refresh_starts_from_the_cold_solves_multiplier(self):
+        state, trace = self._session()
+        assert state.multiplier == state.solution.multiplier == Fraction(5, 12)
+        # Its first delta softens the instance, so the bound is refreshed.
+        with obs.session():
+            resolve(state, trace.deltas[0])
+            snap = obs.snapshot()
+        assert state.last.lb_refreshed
+        assert snap["online.lb_refresh"] == 1
+        assert snap.get("online.lb_refresh.cold", 0) == 0
+        cold, _ = flow_lp_bound(state.instance)
+        assert state.lower_bound == cold
 
     def test_multiplier_is_not_persisted(self, tmp_path):
         state, trace = self._session()
