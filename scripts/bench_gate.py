@@ -89,16 +89,17 @@ FLOW_LP_CEILINGS = {
     "e7_solver": 0,
     "e10_online_warm": 0,
 }
-# Deterministic Newton-step ceilings per kernel: the E5 measurement when
-# the ratio search replaced the ratio LP (106 passes over 28 searches that
-# were not skipped) plus 5%.
+# Deterministic Newton-step ceilings per kernel: the E5 measurement once
+# each sign's search starts from its optimum at the sweep level below
+# (11 passes after the first; 106 when every search started fresh) plus 5%.
 NEWTON_STEP_CEILINGS = {
-    "e5_cancellation": 111,
+    "e5_cancellation": 12,
 }
-# Deterministic aux-graph size ceilings per kernel: the E5 measurement when
-# the aux-graph cache was removed (203,927 edges built) plus 5%.
+# Deterministic aux-graph size ceilings per kernel: the E5 measurement once
+# levels ruled out on the residual build no aux graph (203,659 edges built;
+# 203,927 before) plus 5%.
 AUX_EDGE_CEILINGS = {
-    "e5_cancellation": 214_123,
+    "e5_cancellation": 213_842,
 }
 # Budget levels of the F2 construction kernel — a pinned prefix of the
 # production finder's doubling schedule.

@@ -189,7 +189,9 @@ def _negative_cycles(
     raise SolverError("Bellman–Ford kept improving without closing a cycle")
 
 
-def min_ratio_cycle(aux: AuxGraph, cost_sign: int) -> list[int] | None:
+def min_ratio_cycle(
+    aux: AuxGraph, cost_sign: int, start: tuple[int, int] | None = None
+) -> list[int] | None:
     """An optimal cycle of ``aux`` for one cost sign, as ``aux`` edge ids.
 
     ``cost_sign`` selects the wrap family (+1: residual cycles of positive
@@ -199,12 +201,26 @@ def min_ratio_cycle(aux: AuxGraph, cost_sign: int) -> list[int] | None:
     that sign exists within radius ``B``. The method and why it is exact:
     the module docstring.
 
+    ``start = (p, q)``, ``q > 0``, is for the doubling sweep only
+    (:func:`repro.core.search._sweep`): the ratio of a cycle known to lie
+    in ``aux``, namely the optimum of the same sign at a lower radius,
+    which survives because ``H(B)`` embeds in ``H(B')`` for ``B' >= B``
+    (base vertex, cost level, ``d`` and ``W`` of every edge kept). The
+    first pass then runs under ``q*d - p*W`` instead of ``d - M*W``. If it
+    finds no negative cycle, its potentials certify ``p/q`` as still
+    optimal (step 3 of the module docstring) and the answer is ``[]``:
+    the start cycle stands and nothing new is returned. Otherwise the
+    Newton steps go on from there, and a cost-0 cycle is still returned
+    at once.
+
     Telemetry: ``search.ratio.skipped`` when no chosen-sign wrap survives
     the mask (no pass runs, no span opens); otherwise a
     ``search.ratio_cycle`` span, ``search.ratio.zero_cost_cycles`` when a
-    cost-0 cycle answers, and ``search.ratio.newton_steps`` for the passes
-    after the start pass. Checks the ambient budget before every pass; a
-    trip raises :class:`~repro.errors.BudgetExhaustedError`.
+    cost-0 cycle answers, ``search.ratio.newton_steps`` for the passes
+    after the first, and with a ``start`` ``search.ratio.carried`` (and
+    ``search.ratio.carried_unchanged`` when the answer is ``[]``). Checks
+    the ambient budget before every pass; a trip raises
+    :class:`~repro.errors.BudgetExhaustedError`.
     """
     keep = circulation_edges(aux, cost_sign)
     chosen = keep & ((aux.wrap_cost * cost_sign) > 0)
@@ -223,7 +239,12 @@ def min_ratio_cycle(aux: AuxGraph, cost_sign: int) -> list[int] | None:
         big_w = np.where(chosen[eids], np.abs(aux.wrap_cost[eids]), 0).astype(np.int64)
         d_max, w_max = int(np.abs(d).max(initial=0)), int(big_w.max())
 
-        p, q, best, passes = int(np.abs(d).sum()) + 1, 1, None, 0
+        if start is None:
+            p, q = int(np.abs(d).sum()) + 1, 1
+        else:
+            p, q = start
+            obs.inc("search.ratio.carried")
+        best, passes = None, 0
         while True:
             checkpoint("search.ratio_cycle")
             bound = q * d_max + abs(p) * w_max
@@ -241,9 +262,12 @@ def min_ratio_cycle(aux: AuxGraph, cost_sign: int) -> list[int] | None:
                 break
             best = min(totals, key=lambda t: Fraction(t[0], t[1]))
             p, q = best[0], best[1]
-        if best is None:
-            raise SolverError("no cycle through a kept chosen-sign wrap")
         obs.add("search.ratio.newton_steps", passes - 1)
+        if best is None:
+            if start is None:
+                raise SolverError("no cycle through a kept chosen-sign wrap")
+            obs.inc("search.ratio.carried_unchanged")
+            return []
         return eids[best[2]].tolist()
 
 

@@ -10,9 +10,11 @@ Combines the cheap single-criterion probes with the layered-graph machinery:
    possible running-cost spread of any simple residual cycle), build the
    shifted auxiliary graph and find an exact minimum-ratio cycle
    (:func:`repro.core.auxlp.min_ratio_cycle`) for both cost signs,
-   accumulating candidates. The sweep stops early once a
-   type-0 candidate appears; otherwise all candidates are returned for
-   rate-based selection by the cancellation loop.
+   accumulating candidates. Each sign's search starts from its optimum at
+   the level below, and a (level, sign) whose residual restriction has no
+   cycle of that sign is skipped (:func:`_sweep`). The sweep stops early
+   once a type-0 candidate appears; otherwise all candidates are returned
+   for rate-based selection by the cancellation loop.
 
 Correctness: every residual cycle has running-cost spread at most
 ``sum |c|``, so it is representable in the final sweep step; Theorem 16
@@ -23,7 +25,7 @@ one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from repro.core.auxlp import (
 from repro.core.bicameral import CandidateCycle, CycleType, classify
 from repro.core.cycle_decompose import split_closed_walk
 from repro.core.residual import ResidualGraph
+from repro.graph.digraph import DiGraph
 from repro.paths.bellman_ford import find_negative_cycle
 from repro.robustness.budget import BudgetMeter
 
@@ -117,6 +120,124 @@ def _has_type0(candidates: list[CandidateCycle]) -> bool:
     )
 
 
+def _level_test(g: DiGraph) -> Callable[[int, int], bool]:
+    """``test(B, sign)``: whether the residual ``g`` restricted to the
+    edges with ``|c| <= 2B`` has a cycle with ``sign * c > 0`` (the
+    residual rule-out of :func:`_sweep`).
+
+    Bellman–Ford from a virtual source under ``-sign * c``, relaxing in
+    place: without a negative cycle the distances settle within ``n - 1``
+    rounds, so a change in round ``n`` proves one.
+    """
+    # Edges by |cost|: each restriction is a prefix.
+    order = np.argsort(np.abs(g.cost), kind="stable")
+    by_cost = np.abs(g.cost[order])
+    tail, head, cost = (a[order].tolist() for a in (g.tail, g.head, g.cost))
+
+    def test(b: int, sign: int) -> bool:
+        k = int(np.searchsorted(by_cost, 2 * b, side="right"))
+        edges = [(u, v, -sign * c) for u, v, c in zip(tail[:k], head[:k], cost[:k])]
+        if all(w >= 0 for _, _, w in edges):
+            return False
+        dist = [0] * g.n
+        for _ in range(g.n):
+            changed = False
+            for u, v, w in edges:
+                if dist[u] + w < dist[v]:
+                    dist[v] = dist[u] + w
+                    changed = True
+            if not changed:
+                return False
+        return True
+
+    return test
+
+
+def _sweep(
+    g: DiGraph,
+    candidates: list[CandidateCycle],
+    b: int,
+    b_max: int,
+    stats: SearchStats,
+    meter: BudgetMeter | None,
+    aux_provider: "AuxProvider | None",
+    sites: tuple[str, str],
+) -> Iterator[tuple[int, int]]:
+    """The doubling sweep over ``H(B)`` shared by both production finders.
+
+    For ``B = b, 2b, ...`` up to ``b_max`` and each cost sign (+1 first),
+    searches an optimal cycle of ``H(B)``, appends the residual cycles it
+    releases to ``candidates`` (deduplicated), and yields ``(B, sign)``, so
+    the caller can judge the candidates after every (level, sign) and stop
+    the sweep by leaving the loop. ``sites`` name the meter's node-charge
+    and deadline-check sites. Two exact shortcuts leave the released
+    candidates as a plain sweep would have them, up to ties:
+
+    * **Carried optimum.** ``H(B)`` embeds in ``H(B')`` for ``B' >= B``:
+      node ``(v, l)`` stays ``(v, l)`` (``|l| <= B <= B'``), a residual
+      edge's copy at layer ``l`` stays admissible, and a wrap of cost
+      ``c0 <= B`` is still a wrap; delays and wrap costs are kept. So the
+      sign's optimal cycle at the last searched level is still a cycle
+      of the new one, with the same ratio ``p/q``, and its search starts
+      there (:func:`~repro.core.auxlp.min_ratio_cycle`'s ``start``). When
+      no cycle beats ``p/q`` it answers ``[]``: the optimum is unchanged,
+      its cycle was released at the lower level, and nothing new is
+      released.
+    * **Residual rule-out.** A cycle of ``H(B)`` through a wrap of sign
+      ``s`` (the ratio search closes the other sign's wraps) projects,
+      wraps dropped, to a closed residual walk whose cost is the sum of
+      its wrap costs, so ``s * cost > 0``, and which uses only residual
+      edges with ``|c| <= 2B`` (no other edge has a copy in ``H(B)``).
+      Such a walk splits into simple cycles, one of them with
+      ``s * cost > 0``. So when the residual restricted to ``|c| <= 2B``
+      has no such cycle (:func:`_level_test`), the search of that
+      (level, sign) would find nothing and is skipped
+      (``search.ratio.level_skips``); ``H(B)`` is built only for a sign
+      that is not ruled out. The restriction only grows with ``B``, so
+      once a sign passes the test it is not tested again in this sweep.
+
+    ``stats.lp_solves`` counts every (level, sign) step and
+    ``stats.b_values`` every level, searched or ruled out.
+    """
+    build = aux_provider if aux_provider is not None else build_aux_shifted
+    charge_site, check_site = sites
+    seen = set(tuple(sorted(c.edges)) for c in candidates)
+    has_signed_cycle = _level_test(g)
+    carried: dict[int, tuple[int, int] | None] = {+1: None, -1: None}
+    open_sign = {+1: False, -1: False}
+    while True:
+        stats.b_values.append(b)
+        aux = None
+        for sign in (+1, -1):
+            open_sign[sign] = open_sign[sign] or has_signed_cycle(b, sign)
+            if not open_sign[sign]:
+                obs.inc("search.ratio.level_skips")
+            else:
+                if aux is None:
+                    aux = build(g, b)
+                    stats.aux_nodes_built += aux.graph.n
+                    stats.aux_edges_built += aux.graph.m
+                    if meter is not None:
+                        meter.charge_search_nodes(aux.graph.n, charge_site)
+                if meter is not None:
+                    meter.check(check_site)
+                cyc = min_ratio_cycle(aux, sign, start=carried[sign])
+                if cyc:
+                    # A cost-0 cycle (no wrap) has no ratio to carry.
+                    w = int(np.abs(aux.wrap_cost[cyc]).sum())
+                    carried[sign] = (int(aux.graph.delay[cyc].sum()), w) if w else None
+                    for cand in candidates_from_cycles(aux, g, [cyc]):
+                        key = tuple(sorted(cand.edges))
+                        if key not in seen:
+                            seen.add(key)
+                            candidates.append(cand)
+            stats.lp_solves += 1
+            yield b, sign
+        if b >= b_max:
+            return
+        b = min(b * 2, b_max)
+
+
 def find_bicameral_cycle(
     residual: ResidualGraph,
     delta_d: int,
@@ -184,7 +305,7 @@ def _find_bicameral_cycle_impl(
     """Search-and-select with early stopping (the production path).
 
     Runs the probes, then the doubling sweep, consulting
-    :func:`repro.core.bicameral.select_candidate` after every level and
+    :func:`repro.core.bicameral.select_candidate` after every (level, sign) and
     returning as soon as a usable cycle appears; most iterations never
     build the larger auxiliary graphs. Certification tiers:
 
@@ -275,37 +396,18 @@ def _find_bicameral_cycle_impl(
             return None
         return picked
 
-    build = aux_provider if aux_provider is not None else build_aux_shifted
-    seen: set[tuple[int, ...]] = set(tuple(sorted(c.edges)) for c in candidates)
-    while True:
-        aux = build(g, b)
-        stats.aux_nodes_built += aux.graph.n
-        stats.aux_edges_built += aux.graph.m
-        stats.b_values.append(b)
-        if meter is not None:
-            meter.charge_search_nodes(aux.graph.n, "search.sweep")
-        # Positive-cost cycles (type-1 material) are what a delay-infeasible
-        # iteration almost always needs; solve the negative sign only when
-        # the positive one did not already yield an accepted pick.
-        for sign in (+1, -1):
-            if meter is not None:
-                meter.check("search.ratio_cycle")
-            cyc = min_ratio_cycle(aux, sign)
-            stats.lp_solves += 1
-            if cyc is not None:
-                for cand in candidates_from_cycles(aux, g, [cyc]):
-                    key = tuple(sorted(cand.edges))
-                    if key not in seen:
-                        seen.add(key)
-                        candidates.append(cand)
-            pick = certified_pick() or soft_pick_if_scale_covered(b)
-            if pick is not None:
-                stats.short_circuited_type0 = pick[1] is CycleType.TYPE0
-                stats.candidates = len(candidates)
-                return pick
-        if b >= b_max:
-            break
-        b = min(b * 2, b_max)
+    # Positive-cost cycles (type-1 material) are what a delay-infeasible
+    # iteration almost always needs; the sweep searches the negative sign
+    # only when the positive one did not already yield an accepted pick.
+    for radius, _sign in _sweep(
+        g, candidates, b, b_max, stats, meter, aux_provider,
+        ("search.sweep", "search.ratio_cycle"),
+    ):
+        pick = certified_pick() or soft_pick_if_scale_covered(radius)
+        if pick is not None:
+            stats.short_circuited_type0 = pick[1] is CycleType.TYPE0
+            stats.candidates = len(candidates)
+            return pick
 
     stats.candidates = len(candidates)
     # Sweep exhausted with nothing strictly certified: prefer a soft-
@@ -391,34 +493,13 @@ def _find_bicameral_candidates_impl(
         b_max = max(1, total_abs_cost)
     b_max = max(1, min(b_max, max(1, total_abs_cost)))
 
-    build = aux_provider if aux_provider is not None else build_aux_shifted
-    seen: set[tuple[int, ...]] = set(tuple(sorted(c.edges)) for c in candidates)
-    b = 1
-    while True:
-        aux = build(g, b)
-        stats.aux_nodes_built += aux.graph.n
-        stats.aux_edges_built += aux.graph.m
-        stats.b_values.append(b)
-        if meter is not None:
-            meter.charge_search_nodes(aux.graph.n, "search.candidates_full")
-        for sign in (+1, -1):
-            if meter is not None:
-                meter.check("search.candidates_full.ratio")
-            cyc = min_ratio_cycle(aux, sign)
-            stats.lp_solves += 1
-            if cyc is None:
-                continue
-            for cand in candidates_from_cycles(aux, g, [cyc]):
-                key = tuple(sorted(cand.edges))
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(cand)
-        if _has_type0(candidates):
+    for _radius, sign in _sweep(
+        g, candidates, 1, b_max, stats, meter, aux_provider,
+        ("search.candidates_full", "search.candidates_full.ratio"),
+    ):
+        if sign < 0 and _has_type0(candidates):
             stats.short_circuited_type0 = True
             break
-        if b >= b_max:
-            break
-        b = min(b * 2, b_max)
     stats.candidates = len(candidates)
     return candidates
 

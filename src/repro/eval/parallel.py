@@ -427,10 +427,15 @@ def _run_pool_round(
     )
     pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
-        futures = {
-            pool.submit(fn, {**payloads[i], "attempt": attempt}): i
-            for i in pending
-        }
+        futures = {}
+        for pos, i in enumerate(pending):
+            try:
+                futures[pool.submit(fn, {**payloads[i], "attempt": attempt})] = i
+            except BrokenProcessPool:
+                # A worker died before the last submit: the tasks not yet
+                # submitted are lost with the pool, like its running ones.
+                lost.extend(pending[pos:])
+                break
         not_done = set(futures)
         last_progress = time.monotonic()
         while not_done:

@@ -24,10 +24,11 @@ from repro.core.auxlp import (
     min_ratio_cycle,
     peel_fractional_cycles,
 )
-from repro.core.search import SearchStats
+from repro.core.search import SearchStats, _level_test
 from repro.errors import BudgetExhaustedError, SolverError
 from repro.graph import DiGraph, from_edges, gnp_digraph, anticorrelated_weights
 from repro.graph.validate import is_cycle
+from repro.paths.bellman_ford import find_negative_cycle
 from repro.robustness.budget import SolveBudget, metered
 from repro._util.intmath import ratio_cmp
 from tests.ratio_oracle import solve_ratio_lp
@@ -199,6 +200,22 @@ class TestMinRatioCycle:
         assert info.value.reason == "deadline"
         assert "search.ratio_cycle" in str(info.value)
 
+    def test_carried_optimum_that_still_holds_takes_one_pass(self, tradeoff_residual):
+        # The only residual cycle (cost 8, delay -16) first fits at B = 8;
+        # at B = 16 its ratio -2 is still optimal, and the carried start
+        # certifies it in the one pass.
+        g, ids, res = tradeoff_residual
+        low = build_aux_shifted(res.graph, 8)
+        start = _ratio_of(low, min_ratio_cycle(low, +1), +1)
+        assert Fraction(*start) == -2
+        with obs.session() as tel:
+            assert min_ratio_cycle(build_aux_shifted(res.graph, 16), +1, start=start) == []
+            snap = obs.snapshot()
+        assert snap.get("search.ratio.carried") == 1
+        assert snap.get("search.ratio.carried_unchanged") == 1
+        assert "search.ratio.newton_steps" not in snap  # no pass after the first
+        assert [s.name for s in tel.spans].count("search.ratio_cycle") == 1
+
     @settings(max_examples=40)
     @given(
         seed=st.integers(0, 10_000),
@@ -209,6 +226,9 @@ class TestMinRatioCycle:
         g = anticorrelated_weights(gnp_digraph(n, p, rng=seed), rng=seed + 1)
         res = build_residual(g, [int(e) for e in range(0, g.m, 3)])
         note(f"seed={seed} n={n} p={p} residual m={res.graph.m}")
+        # Per sign, the ratio of the last cycle found: by the embedding of
+        # H(B) in H(B'), a cycle of every later level, as the sweep uses it.
+        carried = {+1: None, -1: None}
         for B in (1, 2, 5):
             aux = build_aux_shifted(res.graph, B)
             for sign in (+1, -1):
@@ -217,6 +237,7 @@ class TestMinRatioCycle:
                 note(f"B={B} sign={sign} cycle={cyc}")
                 assert (cyc is None) == (x is None)
                 if cyc is None:
+                    assert carried[sign] is None
                     continue
                 assert is_cycle(aux.graph, cyc)
                 assert circulation_edges(aux, sign)[cyc].all()
@@ -229,8 +250,51 @@ class TestMinRatioCycle:
                     # A cost-0 negative-delay cycle: the oracle's optimum
                     # rides it up to the mass cap.
                     assert d < 0 and fun < -MASS_CAP / 2
-                else:
-                    assert float(Fraction(d, w)) == pytest.approx(fun, abs=1e-9)
+                    carried[sign] = None
+                    continue
+                assert float(Fraction(d, w)) == pytest.approx(fun, abs=1e-9)
+                # Started from the optimum itself, the search certifies it.
+                assert min_ratio_cycle(aux, sign, start=(d, w)) == []
+                if carried[sign] is not None:
+                    # Started from a lower level's optimum: either that
+                    # ratio still is the oracle's optimum, or the search
+                    # returns a cycle of the optimal ratio.
+                    again = min_ratio_cycle(aux, sign, start=carried[sign])
+                    note(f"  carried {carried[sign]} -> {again}")
+                    if again == []:
+                        assert float(Fraction(*carried[sign])) == pytest.approx(fun, abs=1e-9)
+                    else:
+                        assert is_cycle(aux.graph, again)
+                        assert Fraction(*_ratio_of(aux, again, sign)) == Fraction(d, w)
+                carried[sign] = (d, w)
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 9),
+        p=st.sampled_from([0.25, 0.35, 0.45, 0.6]),
+        every=st.integers(2, 4),
+    )
+    def test_residual_rule_out_keeps_every_searchable_level(self, seed, n, p, every):
+        # The sweep skips (B, sign) when the residual restricted to
+        # |c| <= 2B has no cycle with sign * c > 0. That must never drop a
+        # level whose mask keeps a chosen-sign wrap, and the test must
+        # agree with plain Bellman-Ford on the restriction.
+        g = anticorrelated_weights(gnp_digraph(n, p, rng=seed), rng=seed + 1)
+        res = build_residual(g, [int(e) for e in range(0, g.m, every)]).graph
+        note(f"seed={seed} n={n} p={p} every={every} residual m={res.m}")
+        test = _level_test(res)
+        for B in (1, 2, 3, 5, 8, 13):
+            keep = np.abs(res.cost) <= 2 * B
+            sub = DiGraph(res.n, res.tail[keep], res.head[keep], res.cost[keep], res.delay[keep])
+            aux = build_aux_shifted(res, B)
+            for sign in (+1, -1):
+                has = test(B, sign)
+                mask = circulation_edges(aux, sign)
+                searchable = bool((mask & (aux.wrap_cost * sign > 0)).any())
+                note(f"B={B} sign={sign} test={has} searchable={searchable}")
+                assert has == (find_negative_cycle(sub, weight=-sign * sub.cost) is not None)
+                assert has or not searchable
 
 
 class TestPeel:
@@ -305,6 +369,25 @@ class TestSearchDriver:
         g, ids = from_edges([("s", "a", 1, 1), ("a", "t", 1, 1)])
         res = build_residual(g, [])
         assert find_bicameral_cycle(res, -5, 10, None) is None
+
+    def test_sweep_skips_ruled_out_levels_and_carries_the_optimum(self, tradeoff_residual):
+        # Residual costs 5, 5, -1, -1 and one cycle (cost 8, delay -16), so
+        # b_max = 12 and the levels are 1, 2, 4, 8, 12. Sign -1 has no
+        # cycle: ruled out everywhere. Sign +1: |c| <= 2 and <= 4 close no
+        # cycle (ruled out, H(1), H(2) never built); H(4) cannot hold a
+        # cost-8 cycle (empty mask); H(8) finds it; H(12) keeps it.
+        g, ids, res = tradeoff_residual
+        stats = SearchStats()
+        with obs.session():
+            cands = find_bicameral_candidates(res, stats=stats)
+            snap = obs.snapshot()
+        assert [(c.cost, c.delay) for c in cands] == [(8, -16)]
+        assert stats.b_values == [1, 2, 4, 8, 12] and stats.lp_solves == 10
+        assert stats.aux_nodes_built == res.graph.n * (9 + 17 + 25)
+        assert snap.get("search.ratio.level_skips") == 7
+        assert snap.get("search.ratio.skipped") == 1
+        assert snap.get("search.ratio.carried") == 1
+        assert snap.get("search.ratio.carried_unchanged") == 1
 
     @settings(deadline=None, max_examples=15)
     @given(st.integers(0, 50_000))

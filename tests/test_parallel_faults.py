@@ -8,9 +8,13 @@ submitted trial, always**, with completed work preserved.
 """
 
 import json
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro import obs
+from repro.eval import parallel
 from repro.eval.parallel import run_trials_parallel
 from repro.eval.workloads import er_anticorrelated
 from repro.oracle.faults import (
@@ -126,6 +130,55 @@ class TestWorkerCrash:
         )
         expected = [(i.seed, s) for i in instances for s in ("bicameral", "minsum")]
         assert [(r.seed, r.solver) for r in records] == expected
+
+
+class _PoolBrokenMidSubmit:
+    """In-process stand-in for ``ProcessPoolExecutor``: runs each task at
+    submit time, and the first instance breaks after ``BREAK_AFTER``
+    submits, as a pool does once a worker dies."""
+
+    BREAK_AFTER = 2
+    instances = 0
+
+    def __init__(self, max_workers=None):
+        type(self).instances += 1
+        self.first = type(self).instances == 1
+        self.submitted = 0
+
+    def submit(self, fn, payload):
+        if self.first and self.submitted == self.BREAK_AFTER:
+            raise BrokenProcessPool("a worker died")
+        self.submitted += 1
+        fut = Future()
+        fut.set_result(fn(payload))
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBrokenSubmit:
+    def test_pool_breaking_mid_submit_retries_the_unsubmitted(self, monkeypatch):
+        # The tasks never submitted to the broken pool are lost, not an
+        # escaping BrokenProcessPool: the respawned round runs them.
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _PoolBrokenMidSubmit)
+        monkeypatch.setattr(_PoolBrokenMidSubmit, "instances", 0)
+        payloads = [{"i": i} for i in range(5)]
+        with obs.session():
+            records = parallel.resilient_pool_map(
+                lambda p: {"i": p["i"], "attempt": p["attempt"]},
+                payloads,
+                failure_record=lambda *a: pytest.fail(f"failure record {a}"),
+            )
+            respawns = obs.snapshot().get("parallel.pool_respawns")
+        assert records == [
+            {"i": 0, "attempt": 1},
+            {"i": 1, "attempt": 1},
+            {"i": 2, "attempt": 2},
+            {"i": 3, "attempt": 2},
+            {"i": 4, "attempt": 2},
+        ]
+        assert respawns == 1 and _PoolBrokenMidSubmit.instances == 2
 
 
 class TestTimeouts:
