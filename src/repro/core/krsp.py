@@ -4,7 +4,8 @@
 
 1. exact feasibility: the min-delay ``k``-flow, which is absent when fewer
    than ``k`` disjoint paths exist and misses ``D`` when no solution does;
-2. optional Theorem-4 epsilon-scaling (polynomial mode);
+2. optional Theorem-4 epsilon-scaling (polynomial mode), its cost grid set
+   by the exact flow-LP optimum ``C_LP``;
 3. a phase-1 provider (Lemma 5 from exact Lagrangian k-flows by default —
    the paper's Algorithm 1 step 1, without an LP);
 4. the bicameral cycle-cancellation loop (Algorithm 1 step 2).
@@ -15,6 +16,7 @@ certified cost lower bound, and full per-iteration instrumentation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +38,7 @@ from repro.core.phase1 import (
     KFlow,
     Phase1Result,
     fastest_flow,
+    flow_lp_bound,
 )
 from repro.core.scaling import scale_instance
 from repro.errors import (
@@ -44,7 +47,6 @@ from repro.errors import (
     InfeasibleInstanceError,
     InputError,
 )
-from repro.lp.flow_lp import solve_flow_lp
 # Bound here for layer tracers (perfbench/tracer.py) that wrap this
 # module's flow calls. The solve calls neither: min_cost_k_flow is reached
 # through phase 1's fastest_flow, which also rejects fewer than k paths.
@@ -79,9 +81,10 @@ class KRSPSolution:
         ``delay <= D``. Always true without scaling; with scaling the
         guarantee is ``delay <= (1 + eps1) * D``.
     cost_lower_bound:
-        Certified ``<= C_OPT`` — the flow-LP optimum, exact from the
-        default provider (``None`` only after scaling, where scaled-unit
-        bounds do not map back).
+        Certified ``<= C_OPT``: the flow-LP optimum ``C_LP``, exact
+        (:func:`repro.core.phase1.flow_lp_bound`). After scaling it is
+        the original instance's ``C_LP``. ``None`` only when a budget trip
+        came first.
     iterations:
         Cancellation steps taken.
     records:
@@ -288,8 +291,8 @@ def _solve_krsp_impl(
     work_inst = inst
     work_fastest = min_delay_flow
     scaled = False
-    theta = None
     lower_bound: Fraction | None = None
+    c_lp: Fraction | None = None
     p1: Phase1Result | None = None
     cap_paths: list[list[int]] | None = None
     result: CancellationResult | None = None
@@ -303,15 +306,12 @@ def _solve_krsp_impl(
             if eps is not None:
                 eps1, eps2 = (eps, eps) if isinstance(eps, (int, float)) else eps
                 with timer.section("scaling"):
-                    # Cost-grid estimate C_hat: the min-sum (delay-oblivious)
-                    # cost, a certified lower bound on C_OPT as Theorem 4's
-                    # guarantee wants.
-                    from repro.flow.suurballe import suurballe_k_paths
-
-                    base_paths = suurballe_k_paths(g, s, t, k)
-                    if base_paths is None:
-                        raise InfeasibleInstanceError("k disjoint paths vanished")
-                    c_hat = max(1, sum(g.cost_of(p) for p in base_paths))
+                    # The original instance's C_LP is Theorem 4's certified
+                    # C_OPT lower bound twice over: the solve reports it, and
+                    # since C_OPT is an integer, ceil(C_LP) <= C_OPT is the
+                    # cost-grid estimate C_hat.
+                    c_lp = flow_lp_bound(inst)[0]
+                    c_hat = max(1, math.ceil(c_lp))
                     theta = scale_instance(inst, eps1, eps2, c_hat)
                     work_inst = theta.instance
                     scaled = True
@@ -328,28 +328,10 @@ def _solve_krsp_impl(
                 # phase 1 can offer; the tighter the bound, the earlier the
                 # bicameral sweep can stop (rate tests certify sooner). The
                 # Lagrangian providers usually end on it exactly; otherwise
-                # solve the LP (lp_rounding already did; reuse its answer).
+                # the exact walk finds it, from the provider's multiplier.
                 lower_bound = p1.cost_lower_bound
                 if not p1.bound_is_lp_optimum:
-                    lp = p1.flow_lp or solve_flow_lp(
-                        work_inst.graph,
-                        work_inst.s,
-                        work_inst.t,
-                        work_inst.k,
-                        work_inst.delay_bound,
-                    )
-                    if lp is None:
-                        raise InfeasibleInstanceError(
-                            "delay-budgeted flow LP infeasible"
-                        )
-                    # Shave solver tolerance so float noise can never push
-                    # the "certified" bound above the true optimum.
-                    lp_bound = Fraction(max(0.0, lp.cost - 1e-6)).limit_denominator(10**9)
-                    # lp_rounding's own bound is this LP's unshaved float;
-                    # only a bound found without the LP may raise the shaved one.
-                    if p1.flow_lp is None and lower_bound is not None:
-                        lp_bound = max(lower_bound, lp_bound)
-                    lower_bound = lp_bound
+                    lower_bound = flow_lp_bound(work_inst, p1.multiplier)[0]
 
             with timer.section("cost_cap"):
                 cap_res = _cost_cap_upper_bound(work_inst, work_fastest)
@@ -398,20 +380,13 @@ def _solve_krsp_impl(
             g, s, t, delay_bound, min_delay_flow, p1, cap_paths, result
         )
 
-    lb = lower_bound
-    if scaled and lb is not None and theta is not None:
-        # Scaled-units bound maps back conservatively: c'(OPT) >= lb implies
-        # C_OPT >= theta_c * lb is NOT valid (floors shrink); only the
-        # unscaled-provider bound survives, so drop it.
-        lb = None
-
     return assemble_solution(
         g,
         delay_bound,
         final_paths=final_paths,
         result=result,
         exhausted=exhausted,
-        lower_bound=lb,
+        lower_bound=c_lp if scaled else lower_bound,
         provider_name=p1.provider if p1 is not None else "",
         scaled=scaled,
         timings=timer.as_dict(),

@@ -17,7 +17,8 @@ name:
     Solve the delay-budgeted flow LP in HiGHS, round score-monotonically
     (:mod:`repro.lp.basis`). Guarantee: ``delay/D + cost/C_LP <= 2``
     — exactly Lemma 5's ``(alpha, 2 - alpha)`` trade-off. Also certifies
-    fractional infeasibility and yields the (float) ``C_LP`` lower bound.
+    fractional infeasibility and yields the (float) ``C_LP`` lower bound,
+    which the solver replaces with :func:`flow_lp_bound`'s exact one.
 
 ``"lagrangian"``
     The same LARAC walk, returning the *cheap-but-slow* crossing flow,
@@ -47,7 +48,7 @@ from repro.errors import InfeasibleInstanceError, SolverError
 from repro.flow.decompose import decompose_flow, strip_improving_cycles
 from repro.flow.mincost import lexicographic_weights, min_cost_k_flow
 from repro.lp.basis import round_flow_score_monotone
-from repro.lp.flow_lp import FlowLpResult, solve_flow_lp
+from repro.lp.flow_lp import solve_flow_lp
 from repro.robustness.budget import checkpoint
 
 
@@ -64,13 +65,10 @@ class Phase1Result:
         LP or the Lagrangian dual). ``None`` when the provider has none.
     provider:
         Name of the provider that produced this result.
-    flow_lp:
-        The delay-budgeted flow LP's solution when the provider solved it
-        (``lp_rounding``), so the caller's lower-bound step reuses it.
     bound_is_lp_optimum:
         ``cost_lower_bound`` is exactly the flow-LP optimum (a min-cost
         flow that meets ``D``, or a converged Lagrangian dual), so the
-        caller needs no LP for its lower bound.
+        caller needs no :func:`flow_lp_bound` call for its lower bound.
     multiplier:
         The Lagrangian multiplier the Lemma 5 walk ended on (``0`` when
         the min-cost flow meets ``D``), as :func:`flow_lp_bound` returns
@@ -80,7 +78,6 @@ class Phase1Result:
     solution: PathSet
     cost_lower_bound: Fraction | None
     provider: str
-    flow_lp: FlowLpResult | None = None
     bound_is_lp_optimum: bool = False
     multiplier: Fraction | None = None
 
@@ -116,11 +113,9 @@ def phase1_lp_rounding(inst: KRSPInstance, fastest: KFlow | None = None) -> Phas
     mask = round_flow_score_monotone(g, lp.x, cost_norm, float(inst.delay_bound))
     sol = _paths_from_mask(inst, mask)
     # C_LP as an exact-ish Fraction (float from HiGHS; round to 1e-9 grid —
-    # used only as a lower-bound estimate, never for feasibility logic).
+    # an estimate only: the solver takes its bound from flow_lp_bound).
     lb = Fraction(lp.cost).limit_denominator(10**9)
-    return Phase1Result(
-        solution=sol, cost_lower_bound=lb, provider="lp_rounding", flow_lp=lp
-    )
+    return Phase1Result(solution=sol, cost_lower_bound=lb, provider="lp_rounding")
 
 
 #: Multiplier steps a Lagrangian provider takes before giving up on
@@ -331,17 +326,15 @@ def phase1_lagrangian_lemma5(
     # A zero deadline must trip before the first flow, as it does before
     # the LP in lp_rounding.
     checkpoint("phase1.lagrangian_lemma5")
-    cheap = _cheapest_flow(inst)
-    if cheap.delay <= D:
+    cheap, fast, bound, converged = _cold_walk(inst, fastest)
+    if fast is None:
         return Phase1Result(
             solution=_solution(inst, cheap),
-            cost_lower_bound=Fraction(cheap.cost),
+            cost_lower_bound=bound,
             provider="lagrangian_lemma5",
             bound_is_lp_optimum=True,
             multiplier=Fraction(0),
         )
-    fast = fastest or fastest_flow(inst)
-    cheap, fast, bound, converged = _bracket(inst, cheap, fast)
 
     # Ties go to the delay-feasible endpoint, which needs no cancellation.
     start = min(
@@ -351,8 +344,6 @@ def phase1_lagrangian_lemma5(
         score = lemma5_score(start.cost, start.delay, bound, D)
         if score > 2:
             raise SolverError(f"Lemma 5 endpoint scores {score} > 2")
-    else:
-        obs.inc("phase1.larac.unconverged")
     return Phase1Result(
         solution=_solution(inst, start),
         cost_lower_bound=bound,
@@ -367,14 +358,34 @@ def _bracket(
 ) -> tuple[KFlow, KFlow, Fraction, bool]:
     """:func:`_larac` from ``cheap`` (delay above ``D``) and ``fast`` (the
     min-delay flow or, warm, a flow optimal at a multiplier above
-    ``lambda*``), once ``fast`` is shown to meet ``D``."""
+    ``lambda*``), once ``fast`` is shown to meet ``D``. A walk cut off by
+    :data:`LARAC_MAX_STEPS` counts ``phase1.larac.unconverged``."""
     if fast.delay > inst.delay_bound:
         raise InfeasibleInstanceError(
             f"minimum achievable total delay {fast.delay} exceeds the "
             f"budget {inst.delay_bound} — no fractional k-flow fits it either"
         )
     g = inst.graph
-    return _larac(inst, cheap, fast, g.cost.tolist(), g.delay.tolist())
+    cheap, fast, bound, converged = _larac(
+        inst, cheap, fast, g.cost.tolist(), g.delay.tolist()
+    )
+    if not converged:
+        obs.inc("phase1.larac.unconverged")
+    return cheap, fast, bound, converged
+
+
+def _cold_walk(
+    inst: KRSPInstance, fast: KFlow | None = None
+) -> tuple[KFlow, KFlow | None, Fraction, bool]:
+    """The Lemma 5 walk from the least-delay min-cost flow to ``fast``, as
+    :func:`_bracket` returns it. When that flow meets ``D`` its cost is
+    the flow-LP optimum and the walk never starts: the returned ``fast``
+    is ``None``. ``fast`` defaults to the instance's :func:`fastest_flow`.
+    """
+    cheap = _cheapest_flow(inst)
+    if cheap.delay <= inst.delay_bound:
+        return cheap, None, Fraction(cheap.cost), True
+    return _bracket(inst, cheap, fast or fastest_flow(inst))
 
 
 def flow_lp_bound(
@@ -413,24 +424,18 @@ def flow_lp_bound(
         low = KFlow(used, (w - p * delay) // q, delay)
         if low.delay > D:
             # lambda < lambda*: the whole face overshoots D.
-            cheap, fast = low, fastest_flow(inst)
+            walk = _bracket(inst, low, fastest_flow(inst))
         else:
             used, w, cost = _lex_flow(inst, blend, costs)
             high = KFlow(used, cost, (w - q * cost) // p)
             if high.delay >= D:
                 return Fraction(w - p * D, q), multiplier
             # lambda > lambda*: the whole face undershoots D.
-            cheap, fast = _cheapest_flow(inst), high
+            walk = _cold_walk(inst, high)
     else:
-        cheap, fast = _cheapest_flow(inst), None
-    if cheap.delay <= D:
-        return Fraction(cheap.cost), Fraction(0)
-    cheap, fast, bound, converged = _bracket(
-        inst, cheap, fast or fastest_flow(inst)
-    )
-    if not converged:
-        obs.inc("phase1.larac.unconverged")
-    return bound, _slope(cheap, fast)
+        walk = _cold_walk(inst)
+    cheap, fast, bound, _ = walk
+    return bound, Fraction(0) if fast is None else _slope(cheap, fast)
 
 
 def _slope(cheap: KFlow, fast: KFlow) -> Fraction:

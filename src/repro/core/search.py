@@ -24,6 +24,7 @@ one exists.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -238,58 +239,29 @@ def _sweep(
         b = min(b * 2, b_max)
 
 
-def find_bicameral_cycle(
-    residual: ResidualGraph,
-    delta_d: int,
-    delta_c_estimate: int | None,
-    cost_cap: int | None,
-    b_max: int | None = None,
-    stats: SearchStats | None = None,
-    fallback: str = "type1_first",
-    delta_c_soft: int | None = None,
-    type2_only_if_no_type1: bool = False,
-    meter: BudgetMeter | None = None,
-    aux_provider: "AuxProvider | None" = None,
-) -> tuple[CandidateCycle, CycleType] | None:
-    """Search-and-select with early stopping (the production path).
-
-    ``aux_provider`` (signature-compatible with
-    :func:`~repro.core.auxgraph.build_aux_shifted`) replaces the
-    construction call — :meth:`repro.perf.IncrementalSearch.aux_provider`
-    checks the residual is the engine's own and builds fresh, so the
-    sweep's control flow and every ratio-search input are unchanged.
-
-    Telemetry: runs under a ``search.bicameral`` span and flushes the
-    per-call work (probes, ratio searches, aux-graph sizes, candidates found)
-    into ``search.*`` / ``bicameral.*`` counters on exit. Documented in
-    detail on :func:`_find_bicameral_cycle_impl`. With a ``meter``, the
-    sweep charges auxiliary-graph nodes against the budget's node cap and
-    checks the deadline between ratio searches; a trip raises
-    :class:`~repro.errors.BudgetExhaustedError` (counters still flush).
-    """
+@contextmanager
+def _searching(span: str, stats: SearchStats | None) -> Iterator[SearchStats]:
+    """Run one finder call under ``span`` on ``stats`` (a fresh
+    :class:`SearchStats` when ``None``), flushing the call's work into the
+    ``search.*`` / ``bicameral.*`` counters on exit, also when it raises."""
     stats = stats if stats is not None else SearchStats()
     stats.short_circuited_type0 = False
     before = stats._snapshot()
-    with obs.span("search.bicameral"):
+    with obs.span(span):
         try:
-            return _find_bicameral_cycle_impl(
-                residual,
-                delta_d,
-                delta_c_estimate,
-                cost_cap,
-                b_max=b_max,
-                stats=stats,
-                fallback=fallback,
-                delta_c_soft=delta_c_soft,
-                type2_only_if_no_type1=type2_only_if_no_type1,
-                meter=meter,
-                aux_provider=aux_provider,
-            )
+            yield stats
         finally:
             stats._flush_delta(before)
 
 
-def _find_bicameral_cycle_impl(
+def _sweep_top(g: DiGraph, b_max: int | None) -> int:
+    """The sweep's top radius: ``b_max`` capped at ``sum |c|`` (its default),
+    the largest running-cost spread of any simple residual cycle."""
+    total_abs_cost = max(1, int(np.abs(g.cost).sum()))
+    return max(1, min(b_max if b_max is not None else total_abs_cost, total_abs_cost))
+
+
+def find_bicameral_cycle(
     residual: ResidualGraph,
     delta_d: int,
     delta_c_estimate: int | None,
@@ -327,111 +299,94 @@ def _find_bicameral_cycle_impl(
 
     Falls back to soft-certified, then uncertified selection, after the
     sweep is exhausted.
+
+    ``aux_provider`` (signature-compatible with
+    :func:`~repro.core.auxgraph.build_aux_shifted`) replaces the
+    construction call — :meth:`repro.perf.IncrementalSearch.aux_provider`
+    checks the residual is the engine's own and builds fresh, so the
+    sweep's control flow and every ratio-search input are unchanged.
+
+    Telemetry: runs under a ``search.bicameral`` span and flushes the
+    per-call work (probes, ratio searches, aux-graph sizes, candidates
+    found) into ``search.*`` / ``bicameral.*`` counters on exit. With a
+    ``meter``, the sweep charges auxiliary-graph nodes against the
+    budget's node cap and checks the deadline between ratio searches; a
+    trip raises :class:`~repro.errors.BudgetExhaustedError` (counters
+    still flush).
     """
     from repro.core.bicameral import select_candidate
 
-    stats = stats if stats is not None else SearchStats()
-    g = residual.graph
-    candidates = _probe_candidates(residual, stats)
-
-    def certified_pick():
-        picked = select_candidate(
+    def select(delta_c: int | None):
+        return select_candidate(
             candidates,
             delta_d,
-            delta_c_estimate,
+            delta_c,
             cost_cap,
             fallback=fallback,
             type2_only_if_no_type1=type2_only_if_no_type1,
         )
-        if picked is None:
-            return None
-        if picked[1] is CycleType.TYPE0:
+
+    def certified(delta_c: int | None):
+        """``select(delta_c)`` when its cycle really classifies as the
+        type it was picked as (a type-0 pick needs no check)."""
+        picked = select(delta_c)
+        if picked is None or picked[1] is CycleType.TYPE0:
             return picked
         cand, ctype = picked
-        if (
-            classify(cand.cost, cand.delay, delta_d, delta_c_estimate, cost_cap)
-            is ctype
-        ):
+        if classify(cand.cost, cand.delay, delta_d, delta_c, cost_cap) is ctype:
             return picked
         return None
-
-    pick = certified_pick()
-    if pick is not None:
-        stats.short_circuited_type0 = pick[1] is CycleType.TYPE0
-        stats.candidates = len(candidates)
-        return pick
-
-    nonzero = np.abs(g.cost[g.cost != 0])
-    total_abs_cost = int(np.abs(g.cost).sum())
-    if b_max is None:
-        b_max = max(1, total_abs_cost)
-    b_max = max(1, min(b_max, max(1, total_abs_cost)))
-    # No cycle uses a nonzero-cost edge at radius below that edge's |c|, and
-    # all-zero-cost cycles are already covered by the Bellman-Ford probes.
-    b = max(1, int(nonzero.min())) if len(nonzero) else 1
-    b = min(b, b_max)
 
     def soft_pick_if_scale_covered(radius: int):
         """Soft-certified pick, accepted only once the sweep radius covers
         twice the pick's own |cost| (the anti-trap rule)."""
         if delta_c_soft is None:
             return None
-        picked = select_candidate(
-            candidates,
-            delta_d,
-            delta_c_soft,
-            cost_cap,
-            fallback=fallback,
-            type2_only_if_no_type1=type2_only_if_no_type1,
-        )
-        if picked is None:
-            return None
-        cand, ctype = picked
-        if ctype is not CycleType.TYPE0 and (
-            classify(cand.cost, cand.delay, delta_d, delta_c_soft, cost_cap)
-            is not ctype
-        ):
-            return None
-        if radius < 2 * abs(cand.cost):
+        picked = certified(delta_c_soft)
+        if picked is None or radius < 2 * abs(picked[0].cost):
             return None
         return picked
 
-    # Positive-cost cycles (type-1 material) are what a delay-infeasible
-    # iteration almost always needs; the sweep searches the negative sign
-    # only when the positive one did not already yield an accepted pick.
-    for radius, _sign in _sweep(
-        g, candidates, b, b_max, stats, meter, aux_provider,
-        ("search.sweep", "search.ratio_cycle"),
-    ):
-        pick = certified_pick() or soft_pick_if_scale_covered(radius)
+    with _searching("search.bicameral", stats) as stats:
+        g = residual.graph
+        candidates = _probe_candidates(residual, stats)
+        pick = certified(delta_c_estimate)
         if pick is not None:
             stats.short_circuited_type0 = pick[1] is CycleType.TYPE0
             stats.candidates = len(candidates)
             return pick
 
-    stats.candidates = len(candidates)
-    # Sweep exhausted with nothing strictly certified: prefer a soft-
-    # certified pick (cost stays < 2 * U by the Lemma 11 telescoping with U
-    # in place of C_OPT), then the uncertified fallback.
-    if delta_c_soft is not None:
-        soft = select_candidate(
-            candidates,
-            delta_d,
-            delta_c_soft,
-            cost_cap,
-            fallback=fallback,
-            type2_only_if_no_type1=type2_only_if_no_type1,
-        )
-        if soft is not None:
-            return soft
-    return select_candidate(
-        candidates,
-        delta_d,
-        delta_c_estimate,
-        cost_cap,
-        fallback=fallback,
-        type2_only_if_no_type1=type2_only_if_no_type1,
-    )
+        b_max = _sweep_top(g, b_max)
+        nonzero = np.abs(g.cost[g.cost != 0])
+        # No cycle uses a nonzero-cost edge at radius below that edge's
+        # |c|, and all-zero-cost cycles are already covered by the
+        # Bellman-Ford probes.
+        b = max(1, int(nonzero.min())) if len(nonzero) else 1
+        b = min(b, b_max)
+
+        # Positive-cost cycles (type-1 material) are what a delay-infeasible
+        # iteration almost always needs; the sweep searches the negative
+        # sign only when the positive one did not already yield an
+        # accepted pick.
+        for radius, _sign in _sweep(
+            g, candidates, b, b_max, stats, meter, aux_provider,
+            ("search.sweep", "search.ratio_cycle"),
+        ):
+            pick = certified(delta_c_estimate) or soft_pick_if_scale_covered(radius)
+            if pick is not None:
+                stats.short_circuited_type0 = pick[1] is CycleType.TYPE0
+                stats.candidates = len(candidates)
+                return pick
+
+        stats.candidates = len(candidates)
+        # Sweep exhausted with nothing strictly certified: prefer a soft-
+        # certified pick (cost stays < 2 * U by the Lemma 11 telescoping
+        # with U in place of C_OPT), then the uncertified fallback.
+        if delta_c_soft is not None:
+            soft = select(delta_c_soft)
+            if soft is not None:
+                return soft
+        return select(delta_c_estimate)
 
 
 def find_bicameral_candidates(
@@ -461,47 +416,23 @@ def find_bicameral_candidates(
     Returns a deduplicated candidate list; possibly empty (no bicameral
     cycle — Algorithm 1 step 2(a) declares the instance infeasible).
     """
-    stats = stats if stats is not None else SearchStats()
-    stats.short_circuited_type0 = False
-    before = stats._snapshot()
-    with obs.span("search.candidates_full"):
-        try:
-            return _find_bicameral_candidates_impl(
-                residual, b_max, stats, meter, aux_provider
-            )
-        finally:
-            stats._flush_delta(before)
+    with _searching("search.candidates_full", stats) as stats:
+        g = residual.graph
+        candidates = _probe_candidates(residual, stats)
+        if _has_type0(candidates):
+            stats.short_circuited_type0 = True
+            stats.candidates = len(candidates)
+            return candidates
 
-
-def _find_bicameral_candidates_impl(
-    residual: ResidualGraph,
-    b_max: int | None,
-    stats: SearchStats,
-    meter: BudgetMeter | None = None,
-    aux_provider: "AuxProvider | None" = None,
-) -> list[CandidateCycle]:
-    """Body of :func:`find_bicameral_candidates` (telemetry-agnostic)."""
-    g = residual.graph
-    candidates = _probe_candidates(residual, stats)
-    if _has_type0(candidates):
-        stats.short_circuited_type0 = True
+        for _radius, sign in _sweep(
+            g, candidates, 1, _sweep_top(g, b_max), stats, meter, aux_provider,
+            ("search.candidates_full", "search.candidates_full.ratio"),
+        ):
+            if sign < 0 and _has_type0(candidates):
+                stats.short_circuited_type0 = True
+                break
         stats.candidates = len(candidates)
         return candidates
-
-    total_abs_cost = int(np.abs(g.cost).sum())
-    if b_max is None:
-        b_max = max(1, total_abs_cost)
-    b_max = max(1, min(b_max, max(1, total_abs_cost)))
-
-    for _radius, sign in _sweep(
-        g, candidates, 1, b_max, stats, meter, aux_provider,
-        ("search.candidates_full", "search.candidates_full.ratio"),
-    ):
-        if sign < 0 and _has_type0(candidates):
-            stats.short_circuited_type0 = True
-            break
-    stats.candidates = len(candidates)
-    return candidates
 
 
 def reversed_edge_anchors(residual: ResidualGraph) -> list[int]:
@@ -532,62 +463,42 @@ def find_bicameral_candidates_paper(
     doubling sweep up to ``sum |c|``; ``anchors`` defaults to
     :func:`reversed_edge_anchors`.
     """
-    stats = stats if stats is not None else SearchStats()
-    stats.short_circuited_type0 = False
-    before = stats._snapshot()
-    with obs.span("search.paper_literal"):
-        try:
-            return _find_bicameral_candidates_paper_impl(
-                residual, delta_d, b_values, anchors, stats, meter
-            )
-        finally:
-            stats._flush_delta(before)
-
-
-def _find_bicameral_candidates_paper_impl(
-    residual: ResidualGraph,
-    delta_d: int,
-    b_values: list[int] | None,
-    anchors: list[int] | None,
-    stats: SearchStats,
-    meter: BudgetMeter | None = None,
-) -> list[CandidateCycle]:
-    """Body of :func:`find_bicameral_candidates_paper`."""
     from repro.core.auxgraph import build_aux_paper
     from repro.core.auxlp import solve_lp6
 
-    g = residual.graph
-    if anchors is None:
-        anchors = reversed_edge_anchors(residual)
-    if b_values is None:
-        total = max(1, int(np.abs(g.cost).sum()))
-        b_values = []
-        b = 1
-        while True:
-            b_values.append(b)
-            if b >= total:
-                break
-            b = min(b * 2, total)
+    with _searching("search.paper_literal", stats) as stats:
+        g = residual.graph
+        if anchors is None:
+            anchors = reversed_edge_anchors(residual)
+        if b_values is None:
+            total = _sweep_top(g, None)
+            b_values = []
+            b = 1
+            while True:
+                b_values.append(b)
+                if b >= total:
+                    break
+                b = min(b * 2, total)
 
-    candidates: list[CandidateCycle] = []
-    seen: set[tuple[int, ...]] = set()
-    for b in b_values:
-        for v in anchors:
-            for sign in (+1, -1):
-                aux = build_aux_paper(g, v, b, sign)
-                stats.aux_nodes_built += aux.graph.n
-                stats.aux_edges_built += aux.graph.m
-                if meter is not None:
-                    meter.charge_search_nodes(aux.graph.n, "search.paper_literal")
-                x = solve_lp6(aux, delta_d)
-                stats.lp_solves += 1
-                if x is None:
-                    continue
-                for cand in candidates_from_circulation(aux, g, x):
-                    key = tuple(sorted(cand.edges))
-                    if key not in seen:
-                        seen.add(key)
-                        candidates.append(cand)
-        stats.b_values.append(b)
-    stats.candidates = len(candidates)
-    return candidates
+        candidates: list[CandidateCycle] = []
+        seen: set[tuple[int, ...]] = set()
+        for b in b_values:
+            for v in anchors:
+                for sign in (+1, -1):
+                    aux = build_aux_paper(g, v, b, sign)
+                    stats.aux_nodes_built += aux.graph.n
+                    stats.aux_edges_built += aux.graph.m
+                    if meter is not None:
+                        meter.charge_search_nodes(aux.graph.n, "search.paper_literal")
+                    x = solve_lp6(aux, delta_d)
+                    stats.lp_solves += 1
+                    if x is None:
+                        continue
+                    for cand in candidates_from_circulation(aux, g, x):
+                        key = tuple(sorted(cand.edges))
+                        if key not in seen:
+                            seen.add(key)
+                            candidates.append(cand)
+            stats.b_values.append(b)
+        stats.candidates = len(candidates)
+        return candidates

@@ -3,8 +3,8 @@
 An approximation solver should be auditable without trusting it:
 :func:`verify_solution` re-derives everything about a claimed solution
 from scratch — structural validity, exact totals, budget feasibility, and
-(optionally) certified quality bounds via the flow LP and, on small
-instances, the exact MILP. The solver's own outputs are *not* consulted.
+(optionally) certified quality bounds via the exact flow-LP optimum and,
+on small instances, the exact MILP. The solver's own outputs are *not* consulted.
 
 The returned :class:`VerificationReport` is plain data, printable, and
 safe to persist next to results.
@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import GraphError
+from repro.core.instance import KRSPInstance
+from repro.core.phase1 import flow_lp_bound
+from repro.errors import GraphError, InfeasibleInstanceError
 from repro.graph.digraph import DiGraph
 from repro.graph.validate import check_disjoint_paths
 
@@ -32,8 +34,9 @@ class VerificationReport:
     cost, delay:
         Exact recomputed totals (present whenever ``valid``).
     cost_lower_bound:
-        Flow-LP lower bound on the optimal cost (``None`` if skipped or
-        infeasible LP — which itself would contradict validity).
+        Flow-LP lower bound ``C_LP`` on the optimal cost, computed exactly
+        and reported as a float (``None`` if skipped or infeasible LP —
+        which itself would contradict validity).
     approximation_ratio_upper_bound:
         ``cost / cost_lower_bound`` — an upper bound on the true ratio.
     opt_cost:
@@ -80,7 +83,9 @@ def verify_solution(
     paths:
         The claimed ``k`` disjoint paths (edge-id lists).
     check_bounds:
-        Solve the flow LP for a certified quality denominator.
+        Compute the flow-LP optimum ``C_LP`` exactly
+        (:func:`repro.core.phase1.flow_lp_bound`) as a certified quality
+        denominator.
     use_milp:
         Additionally compute the exact optimum (small instances only).
     claimed_cost, claimed_delay:
@@ -123,19 +128,18 @@ def verify_solution(
     opt_cost = None
     exact_ratio = None
     if check_bounds:
-        from repro.lp.flow_lp import solve_flow_lp
-
-        lp = solve_flow_lp(g, s, t, k, delay_bound)
-        if lp is None:
+        try:
+            c_lp = flow_lp_bound(KRSPInstance(g, s, t, k, delay_bound))[0]
+        except InfeasibleInstanceError:
             issues.append(
                 "flow LP infeasible although a solution was presented — "
                 "inconsistent instance data"
             )
         else:
-            lb = lp.cost
-            if lb > 0:
-                ratio_ub = cost / lb
-                if ratio_ub < 1.0 - 1e-6:
+            lb = float(c_lp)
+            if c_lp > 0:
+                ratio_ub = float(cost / c_lp)
+                if cost < c_lp:
                     issues.append(
                         "claimed cost beats the LP lower bound — "
                         "inconsistent instance data"

@@ -220,10 +220,10 @@ class TestLagrangianLemma5:
         assert (res.solution.cost, res.solution.delay) == (5, 2)
         assert res.cost_lower_bound == 5
 
-    def test_unconverged_walk_falls_back_to_the_flow_lp(self, monkeypatch):
+    def test_unconverged_walk_runs_no_flow_lp(self, monkeypatch):
         # Seed 11 needs two multiplier steps; a cap of one leaves the walk
-        # short of lambda*, so the solver solves the flow LP once and keeps
-        # the better of the dual value and the shaved LP optimum.
+        # short of lambda*, so the solver takes flow_lp_bound's best dual
+        # value, warm from the walk's multiplier. No flow LP is solved.
         g = anticorrelated_weights(gnp_digraph(10, 0.4, rng=11), rng=12)
         monkeypatch.setattr(phase1_module, "LARAC_MAX_STEPS", 1)
         inst = KRSPInstance(g, 0, 9, 2, 40)
@@ -232,13 +232,13 @@ class TestLagrangianLemma5:
         with obs.session():
             sol = solve_krsp(g, 0, 9, 2, 40)
             snap = obs.snapshot()
-        assert snap.get("phase1.larac.unconverged") == 1
-        assert snap.get("phase1.larac.steps") == 1
-        assert snap.get("lp.flow_lp.solves") == 1
+        assert snap.get("phase1.larac.unconverged") >= 1
+        assert snap.get("lp.flow_lp.solves", 0) == 0
+        assert sol.cost_lower_bound == flow_lp_bound(inst, p1.multiplier)[0]
+        assert sol.cost_lower_bound > p1.cost_lower_bound
         lp = solve_flow_lp(g, 0, 9, 2, 40)
-        shaved = Fraction(max(0.0, lp.cost - 1e-6)).limit_denominator(10**9)
-        assert p1.cost_lower_bound < shaved
-        assert sol.cost_lower_bound == max(p1.cost_lower_bound, shaved)
+        assert float(sol.cost_lower_bound) <= lp.cost + 1e-6
+        assert sol.cost_lower_bound <= solve_krsp_milp(g, 0, 9, 2, 40).cost
 
     def test_min_delay_over_budget_raises(self):
         g, s, t = parallel_chains(2, 2)

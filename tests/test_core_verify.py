@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import solve_krsp, verify_solution
 from repro.errors import GraphError, InfeasibleInstanceError
 from repro.graph import from_edges, gnp_digraph, anticorrelated_weights
@@ -139,6 +140,29 @@ class TestAdversarialClaims:
         assert rep.valid and not rep.delay_feasible and not rep.clean
         assert any("delay 12 exceeds budget 5" in i for i in rep.issues)
         assert any("claimed delay 5" in i for i in rep.issues)
+
+
+class TestExactLowerBound:
+    def test_integral_lp_bound_is_exact_and_solves_no_lp(self):
+        # D = 4 picks the middle route whole: the walk ends on the tie at
+        # lambda* = 1/3 with C_LP = 4, and a solution of cost 4 meets it.
+        g, ids = from_edges(
+            [("s", "t", 2, 10), ("s", "t", 4, 4), ("s", "t", 10, 1)]
+        )
+        with obs.session():
+            rep = verify_solution(g, ids["s"], ids["t"], 1, 4, [[1]])
+            snap = obs.snapshot()
+        assert rep.clean, rep.issues
+        assert rep.cost_lower_bound == 4 and isinstance(rep.cost_lower_bound, float)
+        assert rep.approximation_ratio_upper_bound == 1.0
+        assert snap.get("lp.flow_lp.solves", 0) == 0
+
+    def test_lp_infeasible_instance_is_an_issue_not_an_exception(self):
+        g, ids = from_edges([("s", "t", 1, 9)])
+        rep = verify_solution(g, ids["s"], ids["t"], 1, 5, [[0]])
+        assert rep.valid and not rep.delay_feasible
+        assert rep.cost_lower_bound is None
+        assert any("flow LP infeasible" in i for i in rep.issues)
 
 
 class TestOracleCrossChecks:

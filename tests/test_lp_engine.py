@@ -38,6 +38,8 @@ from repro import obs
 from repro.core import solve_krsp
 from repro.core.auxgraph import AuxGraph, build_aux_shifted
 from repro.core.auxlp import MASS_CAP, circulation_edges, solve_lp6
+from repro.core.instance import KRSPInstance
+from repro.core.phase1 import flow_lp_bound
 from repro.core.residual import build_residual
 from repro.graph import DiGraph, anticorrelated_weights, gnp_digraph
 from repro.lp import engine as eng
@@ -361,14 +363,14 @@ class TestAccounting:
         lp = solve_flow_lp(g, 0, 9, 2, 40)
         assert abs(float(sol.cost_lower_bound) - lp.cost) <= 1e-6
 
-    def test_lp_rounding_bound_is_shaved(self):
-        # The provider reports the unshaved HiGHS float; the solver's
-        # certified bound must be the shaved one, not the max of the two.
+    def test_lp_rounding_bound_is_the_exact_flow_lp_bound(self):
+        # The provider reports HiGHS's float; the solver's certified bound
+        # is flow_lp_bound's exact C_LP, with no tolerance shaved off.
         g = anticorrelated_weights(gnp_digraph(10, 0.4, rng=11), rng=12)
-        lp = solve_flow_lp(g, 0, 9, 2, 40)
         sol = solve_krsp(g, 0, 9, 2, 40, phase1="lp_rounding")
-        shaved = Fraction(max(0.0, lp.cost - 1e-6)).limit_denominator(10**9)
-        assert sol.cost_lower_bound == shaved < Fraction(lp.cost)
+        c_lp = flow_lp_bound(KRSPInstance(g, 0, 9, 2, 40))[0]
+        assert sol.cost_lower_bound == c_lp
+        assert abs(float(c_lp) - solve_flow_lp(g, 0, 9, 2, 40).cost) <= 1e-6
 
     def test_validate_trace_accepts_real_solver_run(self, tmp_path):
         from repro.obs.report import validate_file

@@ -7,8 +7,8 @@ repository has.
 Hypothesis settings come from the profiles registered in ``conftest.py``
 (select with ``HYPOTHESIS_PROFILE=ci``); tests only override
 ``max_examples`` where the oracle makes examples expensive. CI also runs
-three of these properties on a rotating ``--hypothesis-seed`` under the
-``dev`` profile. Those three pin ``max_examples=40``, the ``ci`` profile's
+four of these properties on a rotating ``--hypothesis-seed`` under the
+``dev`` profile. Those four pin ``max_examples=40``, the ``ci`` profile's
 count, so that leg checks as many instances as the derandomized one, and
 ``note()`` their instance so a failing seed prints what it generated.
 """
@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
-from repro.core import solve_krsp
+from repro import obs
+from repro.core import KRSPInstance, solve_krsp
+from repro.core.phase1 import PROVIDERS, flow_lp_bound
 from repro.errors import InfeasibleInstanceError, ReproError
+from repro.eval.workloads import interesting_delay_bound
 from repro.graph import (
     DiGraph,
     anticorrelated_weights,
@@ -27,6 +30,7 @@ from repro.graph import (
     uniform_weights,
 )
 from repro.graph.validate import check_disjoint_paths
+from repro.lp.flow_lp import solve_flow_lp
 from repro.lp.milp import solve_krsp_milp
 
 def _random_instance(seed: int, n: int = 10, model: str = "anti"):
@@ -113,6 +117,39 @@ def test_lower_bound_is_certified(seed):
     assert sol.cost_lower_bound is not None
     assert float(sol.cost_lower_bound) <= exact.cost + 1e-9
     assert sol.cost >= float(sol.cost_lower_bound) - 1e-9
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.floats(0.0, 1.0))
+def test_every_provider_reports_the_exact_flow_lp_bound(seed, k, tightness):
+    """Every provider, exact and scaled, reports the original instance's
+    exact C_LP as its bound (a walk stopped by its step cap may report
+    less), and only lp_rounding solves a flow LP, once. ``D`` lies in the
+    band where it binds, so the Lagrangian walks run."""
+    g = _random_instance(seed)
+    s, t = 0, g.n - 1
+    D = interesting_delay_bound(g, s, t, k, tightness)
+    note(f"seed={seed} n={g.n} m={g.m} k={k} D={D}")
+    if D is None:
+        return
+    exact = solve_krsp_milp(g, s, t, k, D)
+    note(f"C_OPT={exact.cost}")
+    c_lp = flow_lp_bound(KRSPInstance(g, s, t, k, D))[0]
+    oracle = solve_flow_lp(g, s, t, k, D).cost
+    note(f"C_LP={c_lp} HiGHS={oracle}")
+    for provider in PROVIDERS:
+        for eps in (None, 0.5):
+            with obs.session():
+                sol = solve_krsp(g, s, t, k, D, phase1=provider, eps=eps)
+            lb = sol.cost_lower_bound
+            assert lb <= exact.cost
+            assert abs(float(lb) - oracle) <= 1e-6
+            if eps is None and "phase1.larac.unconverged" not in sol.counters:
+                assert lb == c_lp
+            if eps is not None:
+                assert lb == c_lp
+            expected = 1 if provider == "lp_rounding" else 0
+            assert sol.counters.get("lp.flow_lp.solves", 0) == expected
 
 
 @settings(max_examples=10)
