@@ -135,7 +135,7 @@ def _pinned_instances(n, count, seed, k=2):
 
 
 def kernel_e5_cancellation():
-    """A handful of full cancellation runs (production finder, incremental)."""
+    """A handful of full cancellation runs (production finder)."""
     from repro.core import KRSPInstance, cancel_to_feasibility
     from repro.core.phase1 import phase1_minsum
     from repro.errors import ReproError

@@ -25,7 +25,6 @@ PACKAGES = [
     ("repro.baselines", "Comparison baselines"),
     ("repro.eval", "Evaluation harness"),
     ("repro.robustness", "Robustness layer"),
-    ("repro.perf", "Incremental search engine"),
     ("repro.online", "Online re-solving"),
     ("repro.service", "Solve service"),
 ]

@@ -78,15 +78,15 @@ class ResumeState:
     last durable snapshot plus tail replay; handing it to
     :func:`cancel_to_feasibility` makes the loop continue exactly where
     the crashed process stopped — same solution, same repetition-guard
-    memory, same best-so-far, same (delta-advanced) residual engine — so
-    the continuation is bit-identical to the uninterrupted run.
+    memory, same best-so-far — so the continuation is bit-identical to the
+    uninterrupted run. Each iteration builds its residual from the
+    solution, so no residual is carried over.
     """
 
     solution: PathSet
     records: list[IterationRecord]
     seen_states: set[tuple[int, ...]]
     best: PathSet
-    engine: object | None = None  # repro.perf.IncrementalSearch, pre-advanced
 
 
 @dataclass
@@ -134,7 +134,6 @@ def cancel_to_feasibility(
     strict_monitor: bool = False,
     finder: str = "production",
     meter: BudgetMeter | None = None,
-    incremental: bool = True,
     journal: "object | None" = None,
     resume_state: ResumeState | None = None,
 ) -> CancellationResult:
@@ -155,13 +154,6 @@ def cancel_to_feasibility(
         (:class:`ResumeState`); ``start`` is then ignored as the
         starting point and the loop continues from the restored
         solution with its full repetition-guard history.
-    incremental:
-        Use the :mod:`repro.perf` incremental search engine: the residual
-        graph is kept alive across iterations and advanced by in-place
-        edge flips. Bit-identical to the from-scratch path for both
-        finders (differentially tested); ``False`` keeps that
-        from-scratch path only as the reference the differential suite
-        compares against.
     meter:
         Armed :class:`repro.robustness.BudgetMeter` for **anytime**
         semantics: every stopping rule (deadline, iteration caps, search
@@ -211,18 +203,12 @@ def cancel_to_feasibility(
     # what an exhausted budget hands back instead of raising.
     best = sol
 
-    engine = None
     if resume_state is not None:
         sol = resume_state.solution
         result.solution = sol
         result.records = list(resume_state.records)
         seen_states = set(resume_state.seen_states)
         best = resume_state.best
-        engine = resume_state.engine if incremental else None
-    if incremental and engine is None:
-        from repro.perf import IncrementalSearch
-
-        engine = IncrementalSearch(g)
 
     def _checkpoint_state() -> dict:
         # Read at call time, so one closure serves every snapshot point.
@@ -231,7 +217,6 @@ def cancel_to_feasibility(
             "best": best,
             "seen_states": seen_states,
             "records": result.records,
-            "residual": engine.residual if engine is not None else None,
             "meter": meter,
         }
 
@@ -254,11 +239,7 @@ def cancel_to_feasibility(
                 break
         r_before = _r_value(D, cost_bound, sol)
 
-        residual = (
-            engine.residual_for(sol.edge_ids)
-            if engine is not None
-            else build_residual(g, sol.edge_ids)
-        )
+        residual = build_residual(g, sol.edge_ids)
         delta_d = D - sol.delay  # < 0 here
         delta_c_int: int | None = None
         if cost_bound is not None:
@@ -303,7 +284,6 @@ def cancel_to_feasibility(
                     # undo the previous type-1 step; rank it behind type-1 then.
                     type2_only_if_no_type1=opt_cost is None,
                     meter=meter,
-                    aux_provider=engine.aux_provider if engine is not None else None,
                 )
         except BudgetExhaustedError as exc:
             # A budget can only trip here when a meter was passed; the
@@ -346,7 +326,6 @@ def cancel_to_feasibility(
                 prev_edge_ids=sol.edge_ids,
                 new_sol=new_sol,
                 r_before=r_before,
-                residual_version=residual.version if engine is not None else None,
                 meter=meter,
             )
 

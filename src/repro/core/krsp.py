@@ -191,8 +191,8 @@ def solve_krsp(
         :mod:`repro.core.cancellation`).
     opt_cost, strict_monitor, finder:
         Instrumentation / fidelity knobs — see
-        :func:`cancel_to_feasibility`. Either finder runs on the
-        :mod:`repro.perf` incremental search engine.
+        :func:`cancel_to_feasibility`. Either finder builds each
+        iteration's residual from its current solution.
     budget:
         Cooperative :class:`repro.robustness.SolveBudget` enabling
         **anytime** semantics: on exhaustion (wall-clock deadline,
@@ -310,7 +310,7 @@ def _solve_krsp_impl(
                     # C_OPT lower bound twice over: the solve reports it, and
                     # since C_OPT is an integer, ceil(C_LP) <= C_OPT is the
                     # cost-grid estimate C_hat.
-                    c_lp = flow_lp_bound(inst)[0]
+                    c_lp = flow_lp_bound(inst, fastest=min_delay_flow)[0]
                     c_hat = max(1, math.ceil(c_lp))
                     theta = scale_instance(inst, eps1, eps2, c_hat)
                     work_inst = theta.instance
@@ -331,7 +331,9 @@ def _solve_krsp_impl(
                 # the exact walk finds it, from the provider's multiplier.
                 lower_bound = p1.cost_lower_bound
                 if not p1.bound_is_lp_optimum:
-                    lower_bound = flow_lp_bound(work_inst, p1.multiplier)[0]
+                    lower_bound = flow_lp_bound(
+                        work_inst, p1.multiplier, fastest=work_fastest
+                    )[0]
 
             with timer.section("cost_cap"):
                 cap_res = _cost_cap_upper_bound(work_inst, work_fastest)

@@ -389,7 +389,9 @@ def _cold_walk(
 
 
 def flow_lp_bound(
-    inst: KRSPInstance, multiplier: Fraction | None = None
+    inst: KRSPInstance,
+    multiplier: Fraction | None = None,
+    fastest: KFlow | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Exact flow-LP optimum and an optimal multiplier, warm-started.
 
@@ -405,7 +407,9 @@ def flow_lp_bound(
     flow on the near side of ``D`` and the missing endpoint: the
     min-delay flow when ``lambda`` is too small, the least-delay min-cost
     flow when it is too large. Any hint gives the same bound; only the
-    number of flows differs.
+    number of flows differs. ``fastest`` is the instance's
+    :func:`fastest_flow` when the caller already solved it; a walk that
+    needs the min-delay flow takes it instead of solving it again.
 
     Only edge masks and exact totals are used: no flow is decomposed into
     paths. Raises :class:`InfeasibleInstanceError` when fewer than ``k``
@@ -424,7 +428,7 @@ def flow_lp_bound(
         low = KFlow(used, (w - p * delay) // q, delay)
         if low.delay > D:
             # lambda < lambda*: the whole face overshoots D.
-            walk = _bracket(inst, low, fastest_flow(inst))
+            walk = _bracket(inst, low, fastest or fastest_flow(inst))
         else:
             used, w, cost = _lex_flow(inst, blend, costs)
             high = KFlow(used, cost, (w - q * cost) // p)
@@ -433,7 +437,7 @@ def flow_lp_bound(
             # lambda > lambda*: the whole face undershoots D.
             walk = _cold_walk(inst, high)
     else:
-        walk = _cold_walk(inst)
+        walk = _cold_walk(inst, fastest)
     cheap, fast, bound, _ = walk
     return bound, Fraction(0) if fast is None else _slope(cheap, fast)
 

@@ -31,7 +31,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro import obs
-from repro.core.auxgraph import AuxGraph, build_aux_shifted
+from repro.core.auxgraph import build_aux_shifted
 from repro.core.auxlp import (
     candidates_from_circulation,
     candidates_from_cycles,
@@ -43,14 +43,6 @@ from repro.core.residual import ResidualGraph
 from repro.graph.digraph import DiGraph
 from repro.paths.bellman_ford import find_negative_cycle
 from repro.robustness.budget import BudgetMeter
-
-#: Auxiliary-graph construction hook: ``(residual DiGraph, B) -> AuxGraph``,
-#: signature-compatible with :func:`build_aux_shifted`. The incremental
-#: engine (:mod:`repro.perf`) passes its ownership-checked
-#: ``aux_provider``, which builds fresh; the seam stays because the
-#: benchmark's layer tracer times that method by name.
-AuxProvider = Callable[..., AuxGraph]
-
 
 @dataclass
 class SearchStats:
@@ -161,7 +153,6 @@ def _sweep(
     b_max: int,
     stats: SearchStats,
     meter: BudgetMeter | None,
-    aux_provider: "AuxProvider | None",
     sites: tuple[str, str],
 ) -> Iterator[tuple[int, int]]:
     """The doubling sweep over ``H(B)`` shared by both production finders.
@@ -200,7 +191,6 @@ def _sweep(
     ``stats.lp_solves`` counts every (level, sign) step and
     ``stats.b_values`` every level, searched or ruled out.
     """
-    build = aux_provider if aux_provider is not None else build_aux_shifted
     charge_site, check_site = sites
     seen = set(tuple(sorted(c.edges)) for c in candidates)
     has_signed_cycle = _level_test(g)
@@ -215,7 +205,7 @@ def _sweep(
                 obs.inc("search.ratio.level_skips")
             else:
                 if aux is None:
-                    aux = build(g, b)
+                    aux = build_aux_shifted(g, b)
                     stats.aux_nodes_built += aux.graph.n
                     stats.aux_edges_built += aux.graph.m
                     if meter is not None:
@@ -272,7 +262,6 @@ def find_bicameral_cycle(
     delta_c_soft: int | None = None,
     type2_only_if_no_type1: bool = False,
     meter: BudgetMeter | None = None,
-    aux_provider: "AuxProvider | None" = None,
 ) -> tuple[CandidateCycle, CycleType] | None:
     """Search-and-select with early stopping (the production path).
 
@@ -299,12 +288,6 @@ def find_bicameral_cycle(
 
     Falls back to soft-certified, then uncertified selection, after the
     sweep is exhausted.
-
-    ``aux_provider`` (signature-compatible with
-    :func:`~repro.core.auxgraph.build_aux_shifted`) replaces the
-    construction call — :meth:`repro.perf.IncrementalSearch.aux_provider`
-    checks the residual is the engine's own and builds fresh, so the
-    sweep's control flow and every ratio-search input are unchanged.
 
     Telemetry: runs under a ``search.bicameral`` span and flushes the
     per-call work (probes, ratio searches, aux-graph sizes, candidates
@@ -369,7 +352,7 @@ def find_bicameral_cycle(
         # sign only when the positive one did not already yield an
         # accepted pick.
         for radius, _sign in _sweep(
-            g, candidates, b, b_max, stats, meter, aux_provider,
+            g, candidates, b, b_max, stats, meter,
             ("search.sweep", "search.ratio_cycle"),
         ):
             pick = certified(delta_c_estimate) or soft_pick_if_scale_covered(radius)
@@ -394,7 +377,6 @@ def find_bicameral_candidates(
     b_max: int | None = None,
     stats: SearchStats | None = None,
     meter: BudgetMeter | None = None,
-    aux_provider: "AuxProvider | None" = None,
 ) -> list[CandidateCycle]:
     """Collect candidate cycles for bicameral selection.
 
@@ -425,7 +407,7 @@ def find_bicameral_candidates(
             return candidates
 
         for _radius, sign in _sweep(
-            g, candidates, 1, _sweep_top(g, b_max), stats, meter, aux_provider,
+            g, candidates, 1, _sweep_top(g, b_max), stats, meter,
             ("search.candidates_full", "search.candidates_full.ratio"),
         ):
             if sign < 0 and _has_type0(candidates):

@@ -11,7 +11,9 @@ the paper) are genuine multigraphs, so the substrate must be one too.
 
 A compressed-sparse-row (CSR) adjacency index over *edge ids* is built lazily
 on first use and cached; the arrays themselves are treated as immutable after
-construction (mutating helpers return new graphs).
+construction (mutating helpers return new graphs). The one exception is the
+online churn seam, :meth:`DiGraph.remove_edges` / :meth:`DiGraph.add_edges`,
+which edits the instance graph in place and drops the cached index.
 
 Vertices are ``0..n-1``. Algorithms that need names keep their own mapping
 (:func:`repro.graph.builders.from_edges` accepts arbitrary hashable names).
@@ -19,40 +21,11 @@ Vertices are ``0..n-1``. Algorithms that need names keep their own mapping
 
 from __future__ import annotations
 
-import base64
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.errors import GraphError
-
-
-def encode_array(arr: np.ndarray) -> str:
-    """Compact, exact wire form of an int64/bool array (base64 of raw bytes).
-
-    Used by the crash-safety snapshots (:meth:`DiGraph.to_state`,
-    :meth:`repro.core.residual.ResidualGraph.to_state`): JSON digit lists
-    are human-diffable but ~4x larger and slower to round-trip, and a
-    snapshot must be cheap enough to write every N iterations.
-    """
-    a = np.ascontiguousarray(arr)
-    return f"{a.dtype.str}:{base64.b64encode(a.tobytes()).decode('ascii')}"
-
-
-def decode_array(text: str) -> np.ndarray:
-    """Inverse of :func:`encode_array`."""
-    if not isinstance(text, str):
-        raise GraphError(
-            f"corrupt array snapshot: expected string, got {type(text).__name__}"
-        )
-    try:
-        dtype_str, b64 = text.split(":", 1)
-        return np.frombuffer(
-            base64.b64decode(b64.encode("ascii"), validate=True),
-            dtype=np.dtype(dtype_str),
-        ).copy()  # frombuffer views are read-only; snapshots must be mutable
-    except (ValueError, TypeError) as exc:
-        raise GraphError(f"corrupt array snapshot: {exc}") from None
 
 
 class DiGraph:
@@ -151,42 +124,7 @@ class DiGraph:
             self.delay[eids],
         )
 
-    # -- in-place mutation (perf engine seam) ---------------------------------
-
-    def flip_edges(self, edge_ids: np.ndarray) -> None:
-        """Reverse the given edges in place: swap endpoints, negate weights.
-
-        One of the three sanctioned mutations of a ``DiGraph`` (with
-        :meth:`remove_edges` / :meth:`add_edges`). It exists solely as
-        the delta-application seam for
-        :meth:`repro.core.residual.ResidualGraph.apply_flip` — cancelling a
-        cycle flips ``O(cycle length)`` residual edges, and rebuilding the
-        whole residual (plus its CSR indices) for that is the dominant
-        redundant cost of the cancellation loop. Callers must exclusively
-        own the weight arrays (``build_residual`` always allocates fresh
-        ones); graphs whose arrays are shared copy-on-write must never be
-        flipped.
-
-        CSR caches, when built, are *patched* rather than rebuilt: flipped
-        edge ids are spliced out of each index and re-inserted at their new
-        buckets in ascending-id order — exactly the (key, eid) order the
-        stable argsort in :meth:`_build_csr` produces — so a patched index
-        is bit-identical to a from-scratch rebuild.
-        """
-        eids = np.unique(np.asarray(edge_ids, dtype=np.int64))
-        if len(eids) == 0:
-            return
-        if eids[0] < 0 or eids[-1] >= self.m:
-            raise GraphError("flip_edges: edge id out of range")
-        old_tail = self.tail[eids].copy()
-        self.tail[eids] = self.head[eids]
-        self.head[eids] = old_tail
-        self.cost[eids] = -self.cost[eids]
-        self.delay[eids] = -self.delay[eids]
-        if self._csr_out is not None:
-            self._csr_out = self._patch_csr(self._csr_out, self.tail, eids)
-        if self._csr_in is not None:
-            self._csr_in = self._patch_csr(self._csr_in, self.head, eids)
+    # -- in-place mutation (online churn seam) -------------------------------
 
     def remove_edges(self, edge_ids: np.ndarray) -> np.ndarray:
         """Delete edges in place, compacting edge ids; returns the id map.
@@ -195,11 +133,8 @@ class DiGraph:
         ``e`` becomes ``e - (#removed ids below e)``. The returned int64
         array has length *old* ``m`` and maps old id -> new id, with ``-1``
         marking removed edges — callers holding edge-id references (path
-        sets, residual masks) remap through it.
-
-        CSR caches, when built, are patched: surviving entries keep their
-        (key, eid) order and renumbering is monotone in the old ids, so the
-        compacted order array is bit-identical to a from-scratch rebuild.
+        sets) remap through it. Cached CSR indices are dropped; the next
+        :meth:`out_csr` / :meth:`in_csr` rebuilds them.
         """
         eids = np.unique(np.asarray(edge_ids, dtype=np.int64))
         if len(eids) == 0:
@@ -211,25 +146,12 @@ class DiGraph:
         new_m = int(keep.sum())
         id_map = np.full(self.m, -1, dtype=np.int64)
         id_map[keep] = np.arange(new_m, dtype=np.int64)
-        old_csr_out, old_csr_in = self._csr_out, self._csr_in
         self.tail = self.tail[keep]
         self.head = self.head[keep]
         self.cost = self.cost[keep]
         self.delay = self.delay[keep]
         self.m = new_m
-
-        def patch(csr, keys):
-            if csr is None:
-                return None
-            _, order = csr
-            new_order = id_map[order[keep[order]]]
-            counts = np.bincount(keys, minlength=self.n)
-            starts = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=starts[1:])
-            return starts, new_order.astype(np.int64, copy=False)
-
-        self._csr_out = patch(old_csr_out, self.tail)
-        self._csr_in = patch(old_csr_in, self.head)
+        self._csr_out = self._csr_in = None
         return id_map
 
     def add_edges(
@@ -242,10 +164,8 @@ class DiGraph:
         """Append edges in place; returns the new edge ids.
 
         New edges take ids ``old_m .. old_m + len(tail) - 1`` (existing ids
-        are stable, unlike :meth:`remove_edges`). CSR caches are patched by
-        merging the new ids into each bucket in ascending-id order — the
-        (key, eid) order the stable argsort in :meth:`_build_csr` produces —
-        so patched indices stay bit-identical to a rebuild.
+        are stable, unlike :meth:`remove_edges`). Cached CSR indices are
+        dropped; the next :meth:`out_csr` / :meth:`in_csr` rebuilds them.
         """
         tail = np.atleast_1d(np.asarray(tail, dtype=np.int64))
         head = np.atleast_1d(np.asarray(head, dtype=np.int64))
@@ -259,108 +179,13 @@ class DiGraph:
         if tail.min() < 0 or tail.max() >= self.n or head.min() < 0 or head.max() >= self.n:
             raise GraphError("add_edges: edge endpoint outside range(n)")
         old_m = self.m
-        old_csr_out, old_csr_in = self._csr_out, self._csr_in
         self.tail = np.concatenate([self.tail, tail])
         self.head = np.concatenate([self.head, head])
         self.cost = np.concatenate([self.cost, cost])
         self.delay = np.concatenate([self.delay, delay])
         self.m = old_m + k
-        new_ids = np.arange(old_m, self.m, dtype=np.int64)
-
-        def patch(csr, keys):
-            if csr is None:
-                return None
-            _, order = csr
-            ins = new_ids[np.argsort(keys[new_ids], kind="stable")]
-            comp_keep = keys[order] * np.int64(self.m + 1) + order
-            comp_ins = keys[ins] * np.int64(self.m + 1) + ins
-            new_order = np.insert(order, np.searchsorted(comp_keep, comp_ins), ins)
-            counts = np.bincount(keys, minlength=self.n)
-            starts = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=starts[1:])
-            return starts, new_order.astype(np.int64, copy=False)
-
-        self._csr_out = patch(old_csr_out, self.tail)
-        self._csr_in = patch(old_csr_in, self.head)
-        return new_ids
-
-    def _patch_csr(
-        self,
-        csr: tuple[np.ndarray, np.ndarray],
-        keys: np.ndarray,
-        eids: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Splice ``eids`` out of a CSR index and re-insert at ``keys[eids]``.
-
-        ``keys`` is the *post-flip* key array. Surviving entries keep their
-        relative order (they were (key, eid)-sorted and removal preserves
-        that); the flipped ids are merged back via a composite
-        ``key * (m+1) + eid`` searchsorted, which reproduces the stable
-        argsort's ordering exactly.
-        """
-        _, order = csr
-        flipped = np.zeros(self.m, dtype=bool)
-        flipped[eids] = True
-        keep = order[~flipped[order]]
-        ins = eids[np.argsort(keys[eids], kind="stable")]
-        comp_keep = keys[keep] * np.int64(self.m + 1) + keep
-        comp_ins = keys[ins] * np.int64(self.m + 1) + ins
-        new_order = np.insert(keep, np.searchsorted(comp_keep, comp_ins), ins)
-        counts = np.bincount(keys, minlength=self.n)
-        new_starts = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_starts[1:])
-        return new_starts, new_order.astype(np.int64, copy=False)
-
-    # -- crash-safety snapshots (journal seam) --------------------------------
-
-    def to_state(self) -> dict[str, Any]:
-        """Exact serializable state, *including* any built CSR indices.
-
-        The checkpoint journal snapshots the live residual with this so a
-        resumed solve restores not just the arrays but the (incrementally
-        patched) adjacency indices — bit-identical to the state the crashed
-        process held, with no re-sort on the resume path.
-        """
-
-        def csr_state(csr: tuple[np.ndarray, np.ndarray] | None):
-            if csr is None:
-                return None
-            starts, order = csr
-            return {"starts": encode_array(starts), "order": encode_array(order)}
-
-        return {
-            "n": self.n,
-            "tail": encode_array(self.tail),
-            "head": encode_array(self.head),
-            "cost": encode_array(self.cost),
-            "delay": encode_array(self.delay),
-            "csr_out": csr_state(self._csr_out),
-            "csr_in": csr_state(self._csr_in),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "DiGraph":
-        """Rebuild a graph from :meth:`to_state` output (restores CSR caches)."""
-        g = cls(
-            int(state["n"]),
-            decode_array(state["tail"]),
-            decode_array(state["head"]),
-            decode_array(state["cost"]),
-            decode_array(state["delay"]),
-        )
-
-        def csr_load(d) -> tuple[np.ndarray, np.ndarray] | None:
-            if d is None:
-                return None
-            starts = decode_array(d["starts"])
-            order = decode_array(d["order"])
-            if len(starts) != g.n + 1 or len(order) != g.m:
-                raise GraphError("CSR snapshot inconsistent with edge arrays")
-            return starts, order
-
-        g._csr_out = csr_load(state.get("csr_out"))
-        g._csr_in = csr_load(state.get("csr_in"))
-        return g
+        self._csr_out = self._csr_in = None
+        return np.arange(old_m, self.m, dtype=np.int64)
 
     # -- contracts -----------------------------------------------------------
 

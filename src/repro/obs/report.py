@@ -504,10 +504,10 @@ def report_json(trace: Trace, top: int = 10) -> dict[str, Any]:
             }
             for name, cnt, p50, p90, p99, tot in latency_quantiles(trace)
         },
-        # The incremental-search engine's health at a glance; the same
-        # keys also appear in "counters"/"gauges" above. Current code emits
-        # only the residual keys; archived traces also carry the retired
-        # aux-cache counters.
+        # Residual upkeep at a glance; the same keys also appear in
+        # "counters"/"gauges" above. Current code emits only
+        # residual.rebuilds; archived traces also carry the retired
+        # residual-delta and aux-cache counters.
         "search_cache": {
             k: v
             for k, v in sorted({**trace.counters, **trace.gauges}.items())

@@ -7,7 +7,7 @@ Entry points::
     state = start_online(g, s, t, k, D)
     sol = resolve(state, InstanceDelta(ops=(EdgeReweight(3, cost=7, delay=2),)))
 
-:func:`resolve` patches the live residual in place through :class:`repro.perf.IncrementalSearch` and cancels only the newly
+:func:`resolve` patches the instance graph in place and cancels only the newly
 exposed delay-violating cycles; deltas that break the warm-start
 preconditions fall back to a cold :func:`repro.core.solve_krsp` with a
 counted ``online.fallback.<reason>``. Every ``status == "ok"`` result —

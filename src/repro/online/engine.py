@@ -4,10 +4,10 @@ The cycle-cancellation scheme repairs an *infeasible* k-flow by cancelling
 only delay-violating cycles, and its infeasibility proof (Algorithm 1 step
 2(a)) is valid from **any** integral k-flow start — not just phase 1's.
 That makes the previous solution a legitimate warm start after a small
-instance change: :func:`resolve` patches the live residual through the
-flip-delta machinery of
-:class:`repro.perf.IncrementalSearch`, re-prices the old paths under the
-new weights, and cancels only the newly exposed violating cycles.
+instance change: :func:`resolve` patches the instance graph in place,
+re-prices the old paths under the new weights, and cancels only the newly
+exposed violating cycles (each cancellation iteration builds its residual
+from the current paths).
 
 Guarantee discipline
 --------------------
@@ -60,15 +60,10 @@ import numpy as np
 from repro import obs
 from repro._util.atomicio import atomic_write_json
 from repro._util.timer import Timer
-from repro.core.cancellation import (
-    DEFAULT_MAX_ITERATIONS,
-    ResumeState,
-    cancel_to_feasibility,
-)
+from repro.core.cancellation import DEFAULT_MAX_ITERATIONS, cancel_to_feasibility
 from repro.core.instance import KRSPInstance, PathSet
 from repro.core.krsp import KRSPSolution, assemble_solution, solve_krsp
 from repro.core.phase1 import DEFAULT_PROVIDER, PROVIDERS, flow_lp_bound
-from repro.core.residual import ResidualGraph
 from repro.errors import (
     BudgetExhaustedError,
     GraphError,
@@ -84,7 +79,6 @@ from repro.online.deltas import (
     EdgeReweight,
     InstanceDelta,
 )
-from repro.perf.engine import IncrementalSearch
 from repro.robustness.budget import SolveBudget, metered
 from repro.robustness.checkpointing import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -144,22 +138,19 @@ class OnlineState:
     """The persistent handle of an online solving session.
 
     Owns the *live* instance (its graph is mutated in place by
-    :func:`resolve`), the last solution, the certified cost lower bound,
-    and — when the previous resolve stayed warm — the incremental engine
-    whose residual carries over to the next delta.
+    :func:`resolve`), the last solution and the certified cost lower bound.
     ``solution`` is ``None`` before the first successful solve and after
     an infeasible churn step; the next resolve then starts cold
     (``online.fallback.no_prior``) and re-arms the warm machinery.
     ``multiplier`` is the Lagrangian multiplier the last bound refresh
-    or cold solve ended on, the next refresh's warm start; like
-    ``engine`` it is derived state and is not persisted.
+    or cold solve ended on, the next refresh's warm start; it is derived
+    state and is not persisted.
     """
 
     instance: KRSPInstance
     solution: KRSPSolution | None
     lower_bound: Fraction | None
     phase1: str = DEFAULT_PROVIDER
-    engine: IncrementalSearch | None = None
     last: ResolveInfo | None = None
     multiplier: Fraction | None = None
 
@@ -224,22 +215,14 @@ def resolve(
 
     op_counts = {"reweight": 0, "remove": 0, "add": 0, "demand": 0}
     fallback: str | None = None if prev is not None else FALLBACK_NO_PRIOR
-    # Mirror ops into the live residual only while the warm start is still
-    # viable *and* a residual exists; otherwise the residual is rebuilt (or
-    # dropped) afterwards and mirroring would be wasted work.
-    engine = state.engine if fallback is None else None
-    mirror = engine is not None and engine.residual is not None
-
     sol_paths = [list(p) for p in prev.paths] if prev is not None else None
     new_s, new_t, new_k, new_bound = inst.s, inst.t, inst.k, inst.delay_bound
     softening = False
 
     def drop_warm(reason: str) -> None:
-        nonlocal fallback, mirror, engine, sol_paths
+        nonlocal fallback, sol_paths
         if fallback is None:
             fallback = reason
-        mirror = False
-        engine = None
         sol_paths = None
 
     for op in delta.ops:
@@ -254,8 +237,6 @@ def resolve(
                 softening = True
             g.cost[e] = op.cost
             g.delay[e] = op.delay
-            if mirror:
-                engine.apply_reweight([e], [op.cost], [op.delay])
         elif isinstance(op, EdgeRemoval):
             op_counts["remove"] += 1
             e = int(op.edge_id)
@@ -265,8 +246,6 @@ def resolve(
                 # The edge carries solution flow: deleting it breaks the
                 # k-flow, the canonical warm-start precondition failure.
                 drop_warm(FALLBACK_REMOVED_SOLUTION_EDGE)
-            if mirror:
-                engine.remove_edges([e])
             id_map = g.remove_edges(np.array([e], dtype=np.int64))
             if sol_paths is not None:
                 sol_paths = [[int(id_map[x]) for x in p] for p in sol_paths]
@@ -278,8 +257,6 @@ def resolve(
                 )
             if op.cost < 0 or op.delay < 0:
                 raise InputError("add weights must be nonnegative")
-            if mirror:
-                engine.add_edges([op.tail], [op.head], [op.cost], [op.delay])
             g.add_edges(
                 np.array([op.tail]),
                 np.array([op.head]),
@@ -316,13 +293,11 @@ def resolve(
     except GraphError:
         # The delta produced a nonsensical instance (s == t, k < 1, ...);
         # the graph patches already landed, so poison the session's warm
-        # machinery before surfacing the input error.
-        state.engine = None
+        # start before surfacing the input error.
         state.solution = None
         state.last = ResolveInfo(mode="cold", fallback="invalid", ops=op_counts)
         raise
     state.instance = new_inst
-    state.engine = engine
 
     start: PathSet | None = None
     if fallback is None:
@@ -350,7 +325,6 @@ def resolve(
         fsync=fsync,
     )
     if fallback is not None:
-        state.engine = None
         return _resolve_cold(state, reason=fallback, ops=op_counts, **kwargs)
     assert start is not None
     try:
@@ -358,7 +332,6 @@ def resolve(
             state, start, softening=softening, ops=op_counts, **kwargs
         )
     except _WarmAbort as abort:
-        state.engine = None
         return _resolve_cold(state, reason=abort.reason, ops=op_counts, **kwargs)
 
 
@@ -398,16 +371,6 @@ def _resolve_warm(
     g = inst.graph
     timer = Timer(span_prefix="online")
     meter = budget.start() if budget is not None else None
-
-    engine = state.engine
-    if engine is None or engine.residual is None:
-        engine = IncrementalSearch(g)
-        state.engine = engine
-    with timer.section("residual"):
-        # Sync the residual to the warm-start solution. With a carried-over
-        # engine this flips nothing (the delta mirroring kept it current);
-        # a fresh engine builds it once from the patched graph.
-        engine.residual_for(start.edge_ids)
 
     writer = None
     hook = None
@@ -462,13 +425,6 @@ def _resolve_warm(
 
                 if start.delay > inst.delay_bound:
                     with timer.section("cancel"):
-                        resume = ResumeState(
-                            solution=start,
-                            records=[],
-                            seen_states={tuple(sorted(start.edge_ids))},
-                            best=start,
-                            engine=engine,
-                        )
                         result = cancel_to_feasibility(
                             inst,
                             start,
@@ -478,7 +434,6 @@ def _resolve_warm(
                             finder="production",
                             meter=meter,
                             journal=hook,
-                            resume_state=resume,
                         )
                     exhausted = result.exhausted
                     obs.add("online.cycles_cancelled", result.iterations)
@@ -523,12 +478,8 @@ def _resolve_warm(
         )
         if hook is not None:
             hook.write_final(sol)
-        # Keep the residual synced to the answer we are handing back, so
-        # the next delta mirrors against the right flip state.
-        engine.residual_for([e for p in final_paths for e in p])
         state.solution = sol
         state.lower_bound = lb
-        state.engine = engine
         state.last = ResolveInfo(
             mode="warm",
             fallback=None,
@@ -621,10 +572,9 @@ def _resolve_cold(
 
 
 def state_to_dict(state: OnlineState) -> dict:
-    """Serializable snapshot of a session (instance, solution, residual)."""
+    """Serializable snapshot of a session (instance, solution, bound)."""
     inst = state.instance
     sol = state.solution
-    residual = state.engine.residual if state.engine is not None else None
     return {
         "schema": STATE_SCHEMA,
         "phase1": state.phase1,
@@ -640,7 +590,6 @@ def state_to_dict(state: OnlineState) -> dict:
             "provider": sol.provider,
             "iterations": int(sol.iterations),
         },
-        "residual": residual.to_state() if residual is not None else None,
     }
 
 
@@ -648,10 +597,10 @@ def state_from_dict(data) -> OnlineState:
     """Rebuild a session from :func:`state_to_dict` output (untrusted).
 
     Everything is revalidated: the solution must be ``k`` disjoint
-    ``s``-``t`` paths of the stored instance, and a stored residual must
-    be exactly the Definition-6 reversal of the instance graph along those
-    paths — a tampered state file degrades to an error, never to a
-    silently wrong warm start.
+    ``s``-``t`` paths of the stored instance — a tampered state file
+    degrades to an error, never to a silently wrong warm start. A
+    ``residual`` key written by older versions is ignored: the warm path
+    builds every residual from the solution.
     """
     if not isinstance(data, dict) or data.get("schema") != STATE_SCHEMA:
         raise InputError(
@@ -676,7 +625,6 @@ def state_from_dict(data) -> OnlineState:
         raise InputError(f"unknown phase-1 provider {phase1!r} in online state")
 
     solution = None
-    engine = None
     sol_data = data.get("solution")
     if sol_data is not None:
         try:
@@ -698,45 +646,12 @@ def state_from_dict(data) -> OnlineState:
             provider=str(sol_data.get("provider", "")),
             status=str(sol_data.get("status", "ok")),
         )
-        res_state = data.get("residual")
-        if res_state is not None:
-            try:
-                residual = ResidualGraph.from_state(res_state)
-            except (GraphError, KeyError, TypeError, ValueError) as exc:
-                raise InputError(
-                    f"corrupt residual in online state: {exc}"
-                ) from None
-            _check_residual(residual, g, ps)
-            engine = IncrementalSearch(g)
-            engine.restore(residual)
     return OnlineState(
         instance=inst,
         solution=solution,
         lower_bound=lb,
         phase1=phase1,
-        engine=engine,
     )
-
-
-def _check_residual(residual: ResidualGraph, g, ps: PathSet) -> None:
-    """Assert a deserialized residual matches Definition 6 for ``ps``."""
-    mask = residual.reversed_mask
-    if residual.m != g.m or len(mask) != g.m:
-        raise InputError("online state residual size disagrees with instance")
-    sol_edges = np.zeros(g.m, dtype=bool)
-    sol_edges[np.asarray(ps.edge_ids, dtype=np.int64)] = True
-    if not np.array_equal(mask, sol_edges):
-        raise InputError("online state residual disagrees with its solution")
-    rg = residual.graph
-    sign = np.where(mask, -1, 1).astype(np.int64)
-    ok = (
-        np.array_equal(rg.tail, np.where(mask, g.head, g.tail))
-        and np.array_equal(rg.head, np.where(mask, g.tail, g.head))
-        and np.array_equal(rg.cost, g.cost * sign)
-        and np.array_equal(rg.delay, g.delay * sign)
-    )
-    if not ok:
-        raise InputError("online state residual arrays disagree with instance")
 
 
 def save_state(path: str | Path, state: OnlineState) -> None:

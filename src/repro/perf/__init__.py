@@ -1,24 +1,8 @@
-"""Incremental candidate-search engine (PR 4).
+"""Binding-only modules kept for the benchmark's layer tracer.
 
-The dominant cost of Algorithm 1 outside the ratio searches was redundant
-reconstruction: every cancellation iteration rebuilt the residual graph
-from scratch, even though a cancelled cycle flips only
-``O(cycle length)`` residual edges. This package removes that redundancy
-without changing a single solver decision:
-
-* :class:`~repro.perf.engine.IncrementalSearch` — owns a long-lived
-  :class:`~repro.core.residual.ResidualGraph` updated in place via
-  versioned edge flips, reweights and structural edits.
-
-Correctness contract: for both finders the incremental engine is
-**bit-identical** to the from-scratch path — same residual arrays, same
-auxiliary graphs edge-for-edge, hence the same ratio-search inputs, the
-same cancelled cycles and the same ``cancel.iteration`` telemetry trail
-(enforced by ``tests/test_search_incremental.py``). Layered graphs are
-built fresh per sweep level by
-:func:`~repro.core.auxgraph.build_aux_shifted`. See docs/PERFORMANCE.md.
+:mod:`repro.perf.engine` and :mod:`repro.perf.auxcache` hold the names
+``perfbench/tracer.py`` binds; the solver does not import this package.
+Each cancellation iteration builds its residual with
+:func:`repro.core.residual.build_residual` and each sweep level its
+layered graph with :func:`repro.core.auxgraph.build_aux_shifted`.
 """
-
-from repro.perf.engine import IncrementalSearch
-
-__all__ = ["IncrementalSearch"]

@@ -1,6 +1,6 @@
 """Former home of the layered auxiliary-graph cache; now only a binding.
 
-The incremental engine builds every sweep level fresh with
+The bicameral search builds every sweep level fresh with
 :func:`repro.core.auxgraph.build_aux_shifted`: measured on the benchmark
 workloads, a cache of those graphs served no hits, and its miss and growth
 bookkeeping cost more than a fresh build. The name below stays importable

@@ -10,8 +10,7 @@ solving:
   (via :class:`repro.robustness.signals.GracefulShutdown`) flushes a final
   snapshot and raises :class:`~repro.errors.SolveInterrupted`.
 * :func:`resume_krsp` — reconstructs the solver from a journal (snapshot
-  load + tail replay through the incremental engine's delta path) and
-  continues to a result **bit-identical** to the uninterrupted run: same
+  load + verified tail replay) and continues to a result **bit-identical** to the uninterrupted run: same
   paths, same cost/delay, same ``cancel.iteration`` telemetry trail.
 * :class:`CheckpointHook` — the duck-typed seam ``cancel_to_feasibility``
   and ``_solve_krsp_impl`` call; constructed by the two functions above.
@@ -32,17 +31,20 @@ is re-validated against the graph:
   monotone non-decreasing; with estimated bounds a non-monotone step is
   legal (see :mod:`repro.core.cancellation`) and is only counted
   (``journal.resume.rate_regressions``);
-* no solution state repeats (the live loop's convergence guard);
-* the residual version advances in lockstep with the engine's delta
-  applies.
+* no solution state repeats (the live loop's convergence guard).
 
 Any violation raises :class:`~repro.errors.JournalError` — a journal that
 contradicts its own instance is worse than no journal.
 
-Scope: checkpointing supports the production finder on the incremental
-engine (the configuration the journal header pins) and no
-epsilon-scaling; :func:`solve_checkpointed` rejects anything else up
-front.
+Journals hold no residual graph: every cancellation iteration builds its
+residual from the current solution, so a restored solution is all the
+loop needs. Older journals whose iteration records carry a
+``residual_version`` and whose snapshots carry a ``residual`` still
+resume; both keys are ignored.
+
+Scope: checkpointing supports the production finder (the configuration
+the journal header pins) and no epsilon-scaling;
+:func:`solve_checkpointed` rejects anything else up front.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from repro.core.bicameral import CycleType
 from repro.core.instance import KRSPInstance, PathSet
 from repro.core.krsp import KRSPSolution, assemble_solution, solve_krsp
 from repro.core.phase1 import DEFAULT_PROVIDER
-from repro.core.residual import ResidualGraph
 from repro.errors import GraphError, JournalError, SolveInterrupted
 from repro.graph.digraph import DiGraph
 from repro.graph.io import instance_from_dict, instance_to_dict
@@ -77,9 +78,9 @@ from repro.robustness.journal import (
 from repro.robustness.signals import GracefulShutdown
 
 #: Default snapshot cadence (iterations between full-state snapshots).
-#: Snapshots carry the residual CSR, so they are orders of magnitude
-#: heavier than iteration records; the tail replayed on resume is at most
-#: this many records.
+#: Snapshots carry every past record and the seen-state set, so they are
+#: much heavier than iteration records; the tail replayed on resume is at
+#: most this many records.
 DEFAULT_CHECKPOINT_EVERY = 64
 
 
@@ -200,7 +201,6 @@ class CheckpointHook:
         prev_edge_ids,
         new_sol: PathSet,
         r_before: Fraction | None,
-        residual_version: int | None,
         meter=None,
     ) -> None:
         new_edges = set(int(e) for e in new_sol.edge_ids)
@@ -227,7 +227,6 @@ class CheckpointHook:
                 # bit-identically, and re-deriving it from an edge set is
                 # not guaranteed to reproduce the same path ordering.
                 "paths": _enc_paths(new_sol.paths),
-                "residual_version": residual_version,
                 "meter": meter.usage() if meter is not None else None,
             }
         )
@@ -245,7 +244,6 @@ class CheckpointHook:
         sol: PathSet = state["solution"]
         best: PathSet = state["best"]
         records: list[IterationRecord] = state["records"]
-        residual = state["residual"]
         meter = state.get("meter")
         self.writer.append(
             {
@@ -261,7 +259,6 @@ class CheckpointHook:
                     self._snapshot_record(r)
                     for r in records
                 ],
-                "residual": residual.to_state() if residual is not None else None,
                 "meter": meter.usage() if meter is not None else None,
             }
         )
@@ -340,7 +337,6 @@ def _solve_config(
         "opt_cost": opt_cost,
         "strict_monitor": strict_monitor,
         "finder": "production",
-        "incremental": True,
         "checkpoint_every": checkpoint_every,
     }
 
@@ -437,18 +433,15 @@ def _replay_tail(
     seen: set[tuple[int, ...]],
     records: list[IterationRecord],
     tail: list[dict[str, Any]],
-    engine,
     cost_bound: Fraction | None,
     exact_bound: bool,
 ) -> tuple[PathSet, PathSet]:
-    """Replay journal iteration records through the engine's delta path.
+    """Replay journal iteration records, verifying each one.
 
-    Mirrors the live loop's call sequence exactly: one ``residual_for``
-    per replayed record (applying the *previous* commit's flip), so the
-    engine lands in the same residual/version state the crashed process
-    had. Returns the (solution, best) pair after the last record.
+    Every record is checked against the graph and the solution before it
+    (see the module docstring) and re-emitted as its ``cancel.iteration``
+    event. Returns the (solution, best) pair after the last record.
     """
-    g = inst.graph
     D = inst.delay_bound
     sol = start
     prev_r: Fraction | None = None
@@ -458,14 +451,6 @@ def _replay_tail(
             raise JournalError(
                 f"journal iteration records not contiguous: expected "
                 f"iteration {expected}, found {rec['iteration']}"
-            )
-        residual = engine.residual_for(sol.edge_ids)
-        rv = rec.get("residual_version")
-        if rv is not None and residual.version != int(rv):
-            raise JournalError(
-                f"residual version diverged during replay at iteration "
-                f"{expected}: journal says {rv}, engine is at "
-                f"{residual.version}"
             )
         prev_edges = set(int(e) for e in sol.edge_ids)
         flipped = set(int(e) for e in rec["flipped"])
@@ -537,8 +522,7 @@ def resume_krsp(
     Reads the journal (torn tail truncated), verifies the sealed header,
     restores the newest snapshot (or the prelude, or — header-only — just
     restarts the solve into the same journal), replays the iteration tail
-    through the incremental engine's delta path with full verification
-    (see module docstring), re-emits the ``cancel.iteration`` telemetry
+    with full verification (see module docstring), re-emits the ``cancel.iteration`` telemetry
     trail, and continues the cancellation loop to completion. The final
     :class:`KRSPSolution` is bit-identical to what the uninterrupted run
     would have produced.
@@ -602,14 +586,12 @@ def _resume_inner(
         seen = {tuple(int(e) for e in s) for s in snap["seen_states"]}
         base_records = list(snap["records"])
         snap_iter = int(snap["iteration"])
-        residual_state = snap["residual"]
     else:
         sol = inst.path_set([list(p) for p in prelude["p1_paths"]])
         best = sol
         seen = {tuple(sorted(sol.edge_ids))}
         base_records = []
         snap_iter = 0
-        residual_state = None
 
     records = [_dec_record(r) for r in base_records]
     tail = [r for r in iter_recs if int(r["iteration"]) > snap_iter]
@@ -642,12 +624,6 @@ def _resume_inner(
             meter=None,
         )
 
-    from repro.perf import IncrementalSearch
-
-    engine = IncrementalSearch(g)
-    if residual_state is not None:
-        engine.restore(ResidualGraph.from_state(residual_state))
-
     # The pre-snapshot history replays from the snapshot's embedded copy
     # (telemetry only — its state is already folded into the snapshot).
     for rec in base_records:
@@ -660,7 +636,6 @@ def _resume_inner(
         seen=seen,
         records=records,
         tail=tail,
-        engine=engine,
         cost_bound=cost_bound,
         exact_bound=opt_cost is not None,
     )
@@ -675,7 +650,6 @@ def _resume_inner(
         records=records,
         seen_states=seen,
         best=best,
-        engine=engine,
     )
     result = cancel_to_feasibility(
         inst,

@@ -37,12 +37,12 @@ Record kinds (payload schemas in docs/ROBUSTNESS.md):
     so resume never re-runs the LP phases.
 ``iteration``
     One cancellation step, written *before* the flip is applied: the
-    flipped edge set, cycle cost/delay/type, residual version, the
-    Lemma-12 rate, the resulting solution, and the budget-meter odometer.
+    flipped edge set, cycle cost/delay/type, the Lemma-12 rate, the
+    resulting solution, and the budget-meter odometer.
 ``snapshot``
-    Periodic full state (solution, best-so-far, seen states, the
-    residual CSR, all iteration records so far) so resume cost is
-    ``O(journal tail)``, not ``O(history)``.
+    Periodic full state (solution, best-so-far, seen states, all
+    iteration records so far) so resume cost is ``O(journal tail)``, not
+    ``O(history)``.
 ``final``
     The finished solution; marks the journal complete.
 

@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.errors import GraphError
 from repro.flow import decompose_flow, max_disjoint_paths, suurballe_k_paths
-from repro.graph import from_edges, gnp_digraph, uniform_weights
+from repro.graph import DiGraph, from_edges, gnp_digraph, uniform_weights
 from repro.graph.validate import check_disjoint_paths, is_cycle
 
 
@@ -194,3 +194,61 @@ class TestSplitClosedWalk:
         flat = sorted(e for c in out for e in c)
         assert flat == sorted(walk)
         assert len(out) == 2
+
+
+class TestLongCycleGadgets:
+    """Cycle decomposition stays fast and exact on cycles of thousands of
+    edges and on thousands of short cycles."""
+
+    N = 4000
+
+    def test_decompose_into_cycles_single_long_cycle(self):
+        tails = np.arange(self.N, dtype=np.int64)
+        w = np.ones(self.N, dtype=np.int64)
+        g = DiGraph(self.N, tails, (tails + 1) % self.N, w, w)
+        cycles = decompose_into_cycles(g, list(range(self.N)))
+        assert len(cycles) == 1 and len(cycles[0]) == self.N
+
+    def test_decompose_into_cycles_many_disjoint_cycles(self):
+        # 2-cycles between (2i, 2i+1): the old per-cycle min-scan was
+        # quadratic in the number of cycles on exactly this shape.
+        pairs = self.N // 2
+        tails = np.empty(self.N, dtype=np.int64)
+        heads = np.empty(self.N, dtype=np.int64)
+        tails[0::2] = np.arange(pairs) * 2
+        heads[0::2] = np.arange(pairs) * 2 + 1
+        tails[1::2] = np.arange(pairs) * 2 + 1
+        heads[1::2] = np.arange(pairs) * 2
+        w = np.ones(self.N, dtype=np.int64)
+        g = DiGraph(self.N, tails, heads, w, w)
+        cycles = decompose_into_cycles(g, list(range(self.N)))
+        assert len(cycles) == pairs
+        assert all(len(c) == 2 for c in cycles)
+
+    def test_split_closed_walk_long_figure_eight(self):
+        # Two long petals sharing vertex 0: the walk revisits 0 once.
+        n = self.N
+        half = n // 2
+        tails, heads = [], []
+        # Petal A: 0 -> 1 -> ... -> half-1 -> 0.
+        for i in range(half):
+            tails.append(i)
+            heads.append(i + 1 if i + 1 < half else 0)
+        # Petal B: 0 -> half -> half+1 -> ... -> n-1 -> 0.
+        tails.append(0)
+        heads.append(half)
+        for i in range(half, n - 1):
+            tails.append(i)
+            heads.append(i + 1)
+        tails.append(n - 1)
+        heads.append(0)
+        m = len(tails)
+        g = DiGraph(
+            n,
+            np.array(tails, dtype=np.int64),
+            np.array(heads, dtype=np.int64),
+            np.ones(m, dtype=np.int64),
+            np.ones(m, dtype=np.int64),
+        )
+        cycles = split_closed_walk(g, list(range(m)))
+        assert sorted(len(c) for c in cycles) == sorted([half, m - half])

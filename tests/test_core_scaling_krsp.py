@@ -70,6 +70,14 @@ class TestScaling:
         assert scaled.theta_d == 1 and scaled.theta_c == 1
         assert scaled.instance.delay_bound == 5
 
+    def test_scaling_shares_unscaled_arrays(self):
+        g = anticorrelated_weights(gnp_digraph(8, 0.5, rng=2), rng=2)
+        inst = KRSPInstance(g, 0, 7, 2, 10)
+        scaled = scale_instance(inst, 0.5, 0.5, cost_estimate=1)
+        # Tiny thetas: neither criterion is scaled, so both arrays share.
+        assert np.shares_memory(scaled.instance.graph.cost, g.cost)
+        assert np.shares_memory(scaled.instance.graph.delay, g.delay)
+
     def test_bad_eps_rejected(self):
         inst = self._inst()
         with pytest.raises(GraphError):
@@ -106,6 +114,43 @@ class TestSolveKrsp:
             check_disjoint_paths(g, sol.paths, s, t, k=2)
             checked += 1
         assert checked >= 3
+
+    def test_scaled_bound_reuses_the_gate_flow(self, monkeypatch):
+        """The scaled branch's C_LP walk takes the feasibility gate's
+        min-delay flow instead of solving it again: one min-cost k-flow
+        fewer than a walk that solves its own, same answer and bound."""
+        import repro.core.krsp as krsp_mod
+        import repro.core.phase1 as phase1_mod
+        from repro.flow import min_cost_k_flow
+
+        g, s, t, D = make(12, n=10, D=60)
+        cheapest = min_cost_k_flow(g, s, t, 2, weight=g.cost)
+        assert g.delay_of(np.flatnonzero(cheapest.used)) > D  # walk needed
+
+        calls = []
+        real_flow = phase1_mod.min_cost_k_flow
+
+        def counting_flow(*args, **kwargs):
+            calls.append(1)
+            return real_flow(*args, **kwargs)
+
+        monkeypatch.setattr(phase1_mod, "min_cost_k_flow", counting_flow)
+
+        def solve():
+            calls.clear()
+            sol = solve_krsp(g, s, t, 2, D, eps=0.5)
+            return len(calls), (sol.paths, sol.cost, sol.delay, sol.cost_lower_bound)
+
+        reused, answer = solve()
+        real_bound = krsp_mod.flow_lp_bound
+        monkeypatch.setattr(
+            krsp_mod,
+            "flow_lp_bound",
+            lambda inst, multiplier=None, fastest=None: real_bound(inst, multiplier),
+        )
+        resolved, answer_resolved = solve()
+        assert reused == resolved - 1
+        assert answer == answer_resolved
 
     def test_structural_infeasibility(self):
         g, s, t = parallel_chains(2, 3)

@@ -183,6 +183,38 @@ def test_resume_bit_identical_across_cuts(tmp_path, golden):
         assert _trail(tel) == golden["trail"], f"cut at byte {cut}"
 
 
+def test_every_iteration_snapshot_resumes_bit_identical(tmp_path, golden):
+    """With a snapshot after every iteration, a cut mid-history resumes
+    from a snapshot to the uninterrupted answer and trail. Journals carry
+    no residual: each iteration builds its own from the solution."""
+    g, s, t, k, bound = _instance()
+    path = tmp_path / "every.journal"
+    with obs.session(label="every") as tel:
+        sol = solve_checkpointed(
+            g, s, t, k, bound, journal_path=path,
+            checkpoint_every=1, phase1="minsum",
+        )
+    assert _fp(sol) == golden["fp"]
+    assert _trail(tel) == golden["trail"]
+    raw = path.read_bytes()
+    records = read_journal_bytes(raw)
+    kinds = [r["kind"] for r in records]
+    assert kinds.count("snapshot") == kinds.count("iteration") == sol.iterations
+    assert all("residual" not in r for r in records if r["kind"] == "snapshot")
+    assert all(
+        "residual_version" not in r for r in records if r["kind"] == "iteration"
+    )
+    # Cut right after the second snapshot: one snapshot restores the state
+    # and the loop continues live.
+    second_snapshot = [i for i, kind in enumerate(kinds) if kind == "snapshot"][1]
+    cut_path = tmp_path / "cut.journal"
+    cut_path.write_bytes(raw[: _record_frames(raw)[second_snapshot][1]])
+    with obs.session(label="resumed") as tel2:
+        resumed = resume_krsp(cut_path)
+    assert _fp(resumed) == golden["fp"]
+    assert _trail(tel2) == golden["trail"]
+
+
 def test_tampered_iteration_record_rejected(tmp_path, golden):
     doc_kinds = [r["kind"] for r in read_journal_bytes(golden["raw"])]
     idx = doc_kinds.index("iteration")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.flow import decompose_flow, flow_from_paths, strip_improving_cycles
-from repro.graph import from_edges, gnp_digraph, parallel_chains
+from repro.graph import DiGraph, from_edges, gnp_digraph, parallel_chains
 from repro.graph.validate import check_disjoint_paths, is_cycle
 
 
@@ -107,3 +107,22 @@ def test_decompose_preserves_edge_multiset(seed, k):
     assert sorted(got) == sorted(eids.tolist())
     for c in cycles:
         assert is_cycle(g, c)
+
+
+class TestLongCycleGadgets:
+    N = 4000
+
+    def test_decompose_flow_many_cycles(self):
+        # 2-cycles between (2i, 2i+1) and no s-t path.
+        pairs = self.N // 2
+        tails = np.empty(self.N, dtype=np.int64)
+        heads = np.empty(self.N, dtype=np.int64)
+        tails[0::2] = np.arange(pairs) * 2
+        heads[0::2] = np.arange(pairs) * 2 + 1
+        tails[1::2] = np.arange(pairs) * 2 + 1
+        heads[1::2] = np.arange(pairs) * 2
+        w = np.ones(self.N, dtype=np.int64)
+        g = DiGraph(self.N, tails, heads, w, w)
+        paths, cycles = decompose_flow(g, list(range(self.N)), 0, 0)
+        assert paths == []
+        assert len(cycles) == pairs

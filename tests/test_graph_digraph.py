@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graph import DiGraph, from_edges
@@ -157,3 +157,75 @@ def test_csr_covers_every_edge_exactly_once(case):
     for v in range(n):
         for e in g.in_edges(v):
             assert int(g.head[e]) == v
+
+
+def _random_multigraph(rng, m_low, m_high):
+    n = int(rng.integers(3, 12))
+    m = int(rng.integers(m_low, m_high))
+    return DiGraph(
+        n,
+        rng.integers(0, n, size=m),
+        rng.integers(0, n, size=m),
+        rng.integers(-5, 9, size=m),
+        rng.integers(-5, 9, size=m),
+    )
+
+
+def _assert_csr_matches_fresh_build(g):
+    fresh = DiGraph(g.n, g.tail.copy(), g.head.copy(), g.cost.copy(), g.delay.copy())
+    for v in range(g.n):
+        assert np.array_equal(g.out_edges(v), fresh.out_edges(v)), v
+        assert np.array_equal(g.in_edges(v), fresh.in_edges(v)), v
+
+
+class TestInPlaceEdits:
+    """``remove_edges`` / ``add_edges``, the online churn seam: after an
+    edit the CSR indices (built before it) equal a fresh build's."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_remove_edges_idmap_and_csr_match_fresh_build(self, seed):
+        rng = np.random.default_rng(seed)
+        g = _random_multigraph(rng, 2, 30)
+        m = g.m
+        g.out_edges(0)
+        g.in_edges(0)
+        doomed = sorted(
+            int(e)
+            for e in rng.choice(m, size=int(rng.integers(1, m)), replace=False)
+        )
+        id_map = g.remove_edges(doomed)
+        # id-map semantics: -1 for removed, dense renumbering otherwise.
+        removed = np.zeros(m, dtype=bool)
+        removed[doomed] = True
+        expect = np.where(removed, -1, np.cumsum(~removed) - 1)
+        assert np.array_equal(id_map, expect)
+        assert g.m == m - len(doomed)
+        _assert_csr_matches_fresh_build(g)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_add_edges_csr_matches_fresh_build(self, seed):
+        rng = np.random.default_rng(seed)
+        g = _random_multigraph(rng, 1, 25)
+        m = g.m
+        g.out_edges(0)
+        g.in_edges(0)
+        extra = int(rng.integers(1, 6))
+        new_ids = g.add_edges(
+            rng.integers(0, g.n, size=extra),
+            rng.integers(0, g.n, size=extra),
+            rng.integers(0, 9, size=extra),
+            rng.integers(0, 9, size=extra),
+        )
+        assert list(new_ids) == list(range(m, m + extra))
+        _assert_csr_matches_fresh_build(g)
+
+    def test_remove_edges_rejects_bad_ids(self):
+        g = DiGraph(2, [0], [1], [3], [4])
+        with pytest.raises(GraphError):
+            g.remove_edges([1])
+        # Duplicates collapse (np.unique); empty removal is the identity.
+        g2 = DiGraph(3, [0, 1], [1, 2], [3, 4], [5, 6])
+        assert list(g2.remove_edges([0, 0])) == [-1, 0]
+        assert list(g2.remove_edges([])) == [0]

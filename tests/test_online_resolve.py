@@ -58,6 +58,8 @@ from repro.online import (
     resolve,
     save_state,
     start_online,
+    state_from_dict,
+    state_to_dict,
 )
 from repro.oracle import (
     generate_churn_trace,
@@ -84,6 +86,36 @@ def _two_route():
         ]
     )
     return g, ids
+
+
+def _older_residual_payload(state) -> dict:
+    """The ``residual`` entry older versions wrote into a state file: the
+    Definition-6 residual of the session's solution, arrays as
+    ``dtype:base64``."""
+    import base64
+
+    from repro.core import build_residual
+
+    def enc(arr):
+        arr = np.ascontiguousarray(arr)
+        return f"{arr.dtype.str}:{base64.b64encode(arr.tobytes()).decode('ascii')}"
+
+    g = state.instance.graph
+    res = build_residual(g, [e for p in state.solution.paths for e in p])
+    rg = res.graph
+    return {
+        "graph": {
+            "n": rg.n,
+            "tail": enc(rg.tail),
+            "head": enc(rg.head),
+            "cost": enc(rg.cost),
+            "delay": enc(rg.delay),
+            "csr_out": None,
+            "csr_in": None,
+        },
+        "reversed_mask": enc(res.reversed_mask),
+        "version": 0,
+    }
 
 
 def _feasible_base(substrate: str, seeds) -> "OracleInstance":
@@ -276,7 +308,7 @@ class TestFallbackTaxonomy:
         # The graph patch landed but the instance is nonsense: the warm
         # machinery must be poisoned, not left pointing at stale paths.
         assert state.last.mode == "cold" and state.last.fallback == "invalid"
-        assert state.solution is None and state.engine is None
+        assert state.solution is None
         # The session recovers through the no-prior cold path.
         g, ids = _two_route()
         sol = resolve(state, InstanceDelta(ops=(DemandMove(t=ids["t"]),)))
@@ -373,13 +405,13 @@ class TestPersistence:
         g, ids = _two_route()
         state = start_online(g, ids["s"], ids["t"], 2, 16)
         resolve(state, InstanceDelta(ops=(EdgeReweight(1, cost=1, delay=13),)))
-        assert state.engine is not None
+        assert state.last.mode == "warm" and state.last.cycles_cancelled
         path = tmp_path / "state.json"
         save_state(path, state)
+        assert "residual" not in json.loads(path.read_text())
         loaded = load_state(path)
         assert loaded.solution.paths == state.solution.paths
         assert loaded.lower_bound == state.lower_bound
-        assert loaded.engine is not None  # residual restored
         resolve(loaded, InstanceDelta(ops=(EdgeReweight(0, cost=2, delay=4),)))
         assert loaded.last.mode == "warm"
 
@@ -394,25 +426,33 @@ class TestPersistence:
         with pytest.raises(InputError):
             load_state(path)
 
-    def test_corrupt_residual_payload_rejected(self, tmp_path):
+    @pytest.mark.parametrize("payload", ["valid", "garbage"])
+    def test_older_residual_payload_is_ignored(self, payload):
+        """State files written before residuals stopped being persisted
+        carry a ``residual`` key; it is ignored, valid or not, and the
+        next resolve (a warm one that cancels) answers exactly as it does
+        from the same dict without the key."""
         g, ids = _two_route()
         state = start_online(g, ids["s"], ids["t"], 2, 16)
-        resolve(state, InstanceDelta(ops=(EdgeReweight(1, cost=1, delay=13),)))
-        assert state.engine is not None  # residual present in the snapshot
-        path = tmp_path / "state.json"
-        save_state(path, state)
-        base = json.loads(path.read_text())
-        corruptions = [
-            {"reversed_mask": "|b1:@@@not-base64@@@"},  # undecodable array
-            {"reversed_mask": 7},                       # wrong type
-            {"graph": None},                            # missing graph payload
-        ]
-        for patch in corruptions:
-            data = json.loads(json.dumps(base))
-            data["residual"].update(patch)
-            path.write_text(json.dumps(data))
-            with pytest.raises(InputError):
-                load_state(path)
+        data = state_to_dict(state)
+        assert "residual" not in data
+        older = copy.deepcopy(data)
+        if payload == "valid":
+            older["residual"] = _older_residual_payload(state)
+        else:
+            older["residual"] = {"graph": None, "reversed_mask": 7}
+        answers = []
+        for d in (data, older):
+            loaded = state_from_dict(d)
+            sol = resolve(
+                loaded, InstanceDelta(ops=(EdgeReweight(1, cost=1, delay=13),))
+            )
+            answers.append(
+                (loaded.last.mode, loaded.last.cycles_cancelled, sol.paths,
+                 sol.cost_lower_bound)
+            )
+        assert answers[0] == answers[1]
+        assert answers[0][0] == "warm" and answers[0][1] == 1
 
     def test_unknown_provider_rejected(self, tmp_path):
         g, ids = _two_route()
@@ -608,7 +648,7 @@ class TestExactLowerBound:
         data = json.loads(path.read_text())
         assert data["schema"] == STATE_SCHEMA
         assert set(data) == {
-            "schema", "phase1", "instance", "lower_bound", "solution", "residual"
+            "schema", "phase1", "instance", "lower_bound", "solution"
         }
         loaded = load_state(path)
         assert loaded.multiplier is None

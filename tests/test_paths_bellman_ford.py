@@ -83,6 +83,19 @@ class TestFindNegativeCycle:
         assert find_negative_cycle(DiGraph.empty(3)) is None
 
 
+class TestLongCycleGadgets:
+    def test_bellman_ford_long_negative_cycle(self):
+        n = 600
+        tails = np.arange(n, dtype=np.int64)
+        g = DiGraph(
+            n, tails, (tails + 1) % n,
+            -np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64),
+        )
+        cyc = find_negative_cycle(g)
+        assert cyc is not None and len(cyc) == n
+        assert int(g.cost[np.asarray(cyc)].sum()) == -n
+
+
 def _random_graph_maybe_negative(seed: int, n: int = 10) -> DiGraph:
     rng = np.random.default_rng(seed)
     g = gnp_digraph(n, 0.3, rng=int(rng.integers(1 << 30)))

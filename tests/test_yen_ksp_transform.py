@@ -195,3 +195,36 @@ class TestSplitVertices:
         projected = split.project_path(sol.paths[0])
         assert g.cost_of(projected) == sol.cost
         assert g.delay_of(projected) == sol.delay
+
+
+class TestTransformCopyOnWrite:
+    def test_inject_no_edges_shares_arrays(self):
+        from repro.graph.transform import inject_parallel_edges
+
+        g = gnp_digraph(8, 0.4, rng=0)
+        child = inject_parallel_edges(g, [])
+        assert np.shares_memory(child.cost, g.cost)
+        assert np.shares_memory(child.delay, g.delay)
+        assert np.shares_memory(child.tail, g.tail)
+
+    def test_subdivide_no_edges_shares_arrays(self):
+        from repro.graph.transform import subdivide_edges
+
+        g = gnp_digraph(8, 0.4, rng=0)
+        child = subdivide_edges(g, [])
+        assert np.shares_memory(child.cost, g.cost)
+
+    def test_mutating_child_never_changes_parent(self):
+        """A COW child handed to a mutating helper must leave the parent
+        (and the COW sibling) untouched — fresh arrays on every mutation."""
+        from repro.graph.transform import inject_parallel_edges, subdivide_edges
+
+        g = anticorrelated_weights(gnp_digraph(8, 0.5, rng=3), rng=3)
+        child = inject_parallel_edges(g, [])  # shares g's arrays
+        before = (g.tail.copy(), g.head.copy(), g.cost.copy(), g.delay.copy())
+        grandchild = subdivide_edges(child, [0, 1])
+        assert grandchild.m == child.m + 2
+        mutated = inject_parallel_edges(child, [0], cost_jitter=2, rng=1)
+        assert mutated.m == child.m + 1
+        for arr, ref in zip(("tail", "head", "cost", "delay"), before):
+            assert np.array_equal(getattr(g, arr), ref), arr
