@@ -19,11 +19,13 @@ For every instance in a small deterministic chaos corpus this script:
    behind, since appends are fsync'd in order);
 5. asserts every resumed run is **bit-identical** to the golden one:
    same paths, cost, delay, status, iteration count, and the same
-   ``cancel.iteration`` event trail (modulo the global ``seq`` counter).
+   ``cancel.iteration`` event trail (modulo the global ``seq`` counter);
+   and that no journal it wrote holds a ``snapshot`` record (resume
+   replays the iteration records; snapshots are an older v1 kind).
 
-6. repeats the campaign **inside an online ``resolve`` replay** (PR 6):
+6. repeats the campaign **inside an online ``resolve`` replay**:
    a pinned warm re-solve — a delay spike on a solution edge forces real
-   cancellation work — is journaled at ``--checkpoint-every 1``, the
+   cancellation work — is journaled, the
    ``python -m repro resolve --checkpoint`` subprocess is SIGKILLed past
    the warm-start prelude, and ``resume_krsp`` must finish the mid-churn
    solve bit-identically to the uninterrupted golden resolve.
@@ -66,11 +68,7 @@ from repro.robustness.checkpointing import (  # noqa: E402
     resume_krsp,
     solve_checkpointed,
 )
-
-#: Snapshot cadence for the campaign: small, so cuts land in every region
-#: of the journal (before the first snapshot, between snapshots, after
-#: the last one).
-CHECKPOINT_EVERY = 2
+from repro.robustness.journal import read_journal  # noqa: E402
 
 #: Deterministic chaos corpus. Both instances drive the cancellation loop
 #: through multiple iterations (6 and 3) under ``--phase1 minsum``, so a
@@ -136,6 +134,13 @@ def record_ends(raw: bytes) -> list[int]:
     return ends
 
 
+def check_no_snapshot(journal: Path, failures, tag: str) -> None:
+    """Fail the gate if ``journal`` holds a ``snapshot`` record: resume
+    replays iteration records, so no current build writes one."""
+    if any(r.get("kind") == "snapshot" for r in read_journal(journal).records):
+        failures.append(f"{tag}: journal holds a snapshot record")
+
+
 def resume_and_check(journal: Path, golden_fp, golden_trail, failures, tag: str):
     try:
         with obs.session(label=f"chaos resume {tag}") as tel:
@@ -143,6 +148,7 @@ def resume_and_check(journal: Path, golden_fp, golden_trail, failures, tag: str)
     except Exception as exc:  # noqa: BLE001 — a gate records, never crashes
         failures.append(f"{tag}: resume raised {type(exc).__name__}: {exc}")
         return
+    check_no_snapshot(journal, failures, tag)
     if fingerprint(sol) != golden_fp:
         failures.append(
             f"{tag}: resumed solution differs from golden "
@@ -158,9 +164,7 @@ def subprocess_solve(inst_path: Path, journal: Path, env_extra: dict) -> int:
     env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "solve", str(inst_path),
-         "--checkpoint", str(journal),
-         "--checkpoint-every", str(CHECKPOINT_EVERY),
-         "--phase1", "minsum"],
+         "--checkpoint", str(journal), "--phase1", "minsum"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     return proc.returncode
@@ -177,12 +181,12 @@ def run_instance(spec: dict, workdir: Path, quick: bool) -> dict:
     t0 = time.perf_counter()
     with obs.session(label=f"chaos golden {name}") as tel:
         golden = solve_checkpointed(
-            g, s, t, k, bound, journal_path=golden_journal,
-            checkpoint_every=CHECKPOINT_EVERY, phase1="minsum",
+            g, s, t, k, bound, journal_path=golden_journal, phase1="minsum",
         )
     golden_fp = fingerprint(golden)
     golden_trail = trail(tel)
     failures: list[str] = []
+    check_no_snapshot(golden_journal, failures, f"{name}:golden")
 
     # 2. Checkpoint-off identity.
     plain = solve_krsp(g, s, t, k, bound, phase1="minsum")
@@ -252,6 +256,7 @@ def run_instance(spec: dict, workdir: Path, quick: bool) -> dict:
     return {
         "instance": name,
         "records": n_rec,
+        "journal_bytes": len(raw),
         "iterations": golden.iterations,
         "points": n_points,
         "torn_points": n_torn,
@@ -261,10 +266,10 @@ def run_instance(spec: dict, workdir: Path, quick: bool) -> dict:
     }
 
 
-#: Online-resolve kill-point fixture (PR 6). Parameters were searched
+#: Online-resolve kill-point fixture. Parameters were searched
 #: for: this substrate's warm re-solve after the pinned delay spike does
-#: one real cancellation iteration (a five-record journal at
-#: ``checkpoint_every=1``) in a few seconds — most spikes either stay
+#: one real cancellation iteration (a four-record journal: header,
+#: prelude, iteration, final) in a few seconds — most spikes either stay
 #: trivially feasible (nothing to kill) or blow up into minute-long
 #: cancellation runs (too slow for a gate).
 RESOLVE_SPEC = {
@@ -283,7 +288,7 @@ def subprocess_resolve(
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "resolve", str(state_path),
          "--delta", str(delta_path), "--out", str(out_path),
-         "--checkpoint", str(journal), "--checkpoint-every", "1"],
+         "--checkpoint", str(journal)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     return proc.returncode
@@ -292,9 +297,9 @@ def subprocess_resolve(
 def run_resolve_killpoint(workdir: Path, quick: bool) -> dict:
     """Kill and truncation points inside a journaled online ``resolve``.
 
-    The golden run is an in-process warm re-solve journaled at
-    ``checkpoint_every=1``; every interrupted copy must resume to the
-    same solution fingerprint and ``cancel.iteration`` trail.
+    The golden run is an in-process journaled warm re-solve; every
+    interrupted copy must resume to the same solution fingerprint and
+    ``cancel.iteration`` trail.
     """
     from repro.flow.mincost import min_cost_k_flow
     from repro.online import (
@@ -333,11 +338,10 @@ def run_resolve_killpoint(workdir: Path, quick: bool) -> dict:
     golden_journal = workdir / f"{name}.golden.journal"
     failures: list[str] = []
     with obs.session(label=f"chaos golden {name}") as tel:
-        golden = resolve(
-            state, delta, journal_path=golden_journal, checkpoint_every=1
-        )
+        golden = resolve(state, delta, journal_path=golden_journal)
     golden_fp = fingerprint(golden)
     golden_trail = trail(tel)
+    check_no_snapshot(golden_journal, failures, f"{name}:golden")
     if state.last.mode != "warm" or state.last.cycles_cancelled < 1:
         failures.append(
             f"{name}: fixture degraded — golden resolve was "
@@ -419,6 +423,7 @@ def run_resolve_killpoint(workdir: Path, quick: bool) -> dict:
                 f"{name}:coldcut{cut}: resume raised {type(exc).__name__}: {exc}"
             )
             continue
+        check_no_snapshot(j, failures, f"{name}:coldcut{cut}")
         fp = fingerprint(sol)
         if fp[:4] + fp[5:] != cold_fp:
             failures.append(
@@ -447,6 +452,7 @@ def run_resolve_killpoint(workdir: Path, quick: bool) -> dict:
     return {
         "instance": name,
         "records": n_rec,
+        "journal_bytes": len(raw),
         "iterations": golden.iterations,
         "points": n_points,
         "torn_points": n_torn,

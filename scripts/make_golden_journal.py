@@ -7,6 +7,11 @@ of the 3-iteration chaos instance) and ``tests/corpus/golden_v1.expect``
 ``JOURNAL_FORMAT_VERSION`` is bumped; the point of the fixture is that a
 journal written by an old build keeps resuming on every future build of
 the same format version (tests/test_crash_resume.py replays it in CI).
+
+The committed v1 fixture predates snapshot-free journals and still holds
+a ``snapshot`` record after iteration 2; tests/test_crash_resume.py uses
+it to check that resume never reads one. Regenerating it would drop that
+record, so do it only together with a format bump.
 """
 
 from __future__ import annotations
@@ -31,9 +36,7 @@ def main() -> int:
     g = anticorrelated_weights(g, total=37, noise=3, rng=rng)
 
     out = REPO_ROOT / "tests" / "corpus" / f"golden_v{JOURNAL_FORMAT_VERSION}.journal"
-    sol = solve_checkpointed(
-        g, 0, 15, 3, 231, journal_path=out, checkpoint_every=2, phase1="minsum",
-    )
+    sol = solve_checkpointed(g, 0, 15, 3, 231, journal_path=out, phase1="minsum")
     atomic_write_json(
         out.parent / f"golden_v{JOURNAL_FORMAT_VERSION}.expect",
         {

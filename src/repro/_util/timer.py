@@ -3,15 +3,7 @@
 Historically this was the solver's only observability; it is now a thin
 facade over :mod:`repro.obs`: every ``section`` also opens an obs span
 (named ``<span_prefix>.<name>``), so legacy ``Timer`` call sites feed the
-telemetry layer for free while keeping their local accumulate-and-query
-API.
-
-Semantics fix vs the original implementation: :meth:`Timer.total` now
-*includes still-open sections*, so querying a section's accumulated time
-from inside a nested re-entry reports the elapsed time so far instead of
-0.0 — the documented accumulate-on-nest behaviour (nested re-entries of
-the same name each contribute their full elapsed time on close, so inner
-time is counted once per enclosing level, exactly as before).
+telemetry layer for free while keeping their local per-section totals.
 """
 
 from __future__ import annotations
@@ -29,54 +21,24 @@ class Timer:
     >>> t = Timer()
     >>> with t.section("lp"):
     ...     pass
-    >>> t.total("lp") >= 0.0
+    >>> t.as_dict()["lp"] >= 0.0
     True
     """
 
     def __init__(self, span_prefix: str = "timer") -> None:
         self._acc: dict[str, float] = {}
-        self._count: dict[str, int] = {}
-        self._open: dict[str, list[float]] = {}
         self._span_prefix = span_prefix
 
     @contextmanager
     def section(self, name: str) -> Iterator[None]:
         start = time.perf_counter()
-        self._open.setdefault(name, []).append(start)
         try:
             with _obs_span(f"{self._span_prefix}.{name}"):
                 yield
         finally:
-            opens = self._open.get(name)
-            if opens:
-                opens.pop()
-                if not opens:
-                    del self._open[name]
             elapsed = time.perf_counter() - start
             self._acc[name] = self._acc.get(name, 0.0) + elapsed
-            self._count[name] = self._count.get(name, 0) + 1
-
-    def total(self, name: str) -> float:
-        """Accumulated seconds in ``name``, including still-open entries
-        (0.0 if never entered)."""
-        total = self._acc.get(name, 0.0)
-        opens = self._open.get(name)
-        if opens:
-            now = time.perf_counter()
-            total += sum(now - start for start in opens)
-        return total
-
-    def count(self, name: str) -> int:
-        """Number of times section ``name`` was entered and closed."""
-        return self._count.get(name, 0)
 
     def as_dict(self) -> dict[str, float]:
         """Snapshot of all accumulated (closed-section) totals."""
         return dict(self._acc)
-
-    def merge(self, other: "Timer") -> None:
-        """Fold another timer's accumulators into this one."""
-        for name, seconds in other._acc.items():
-            self._acc[name] = self._acc.get(name, 0.0) + seconds
-        for name, n in other._count.items():
-            self._count[name] = self._count.get(name, 0) + n

@@ -193,18 +193,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         with session:
             if args.checkpoint:
-                from repro.robustness import (
-                    DEFAULT_CHECKPOINT_EVERY,
-                    GracefulShutdown,
-                    solve_checkpointed,
-                )
+                from repro.robustness import GracefulShutdown, solve_checkpointed
 
                 with GracefulShutdown() as shutdown:
                     sol = solve_checkpointed(
                         g, s, t, k, bound,
                         journal_path=args.checkpoint,
-                        checkpoint_every=(args.checkpoint_every
-                                          or DEFAULT_CHECKPOINT_EVERY),
                         phase1=args.phase1,
                         shutdown=shutdown,
                     )
@@ -336,17 +330,12 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     try:
         with session:
             if args.checkpoint:
-                from repro.robustness import (
-                    DEFAULT_CHECKPOINT_EVERY,
-                    GracefulShutdown,
-                )
+                from repro.robustness import GracefulShutdown
 
                 with GracefulShutdown() as shutdown:
                     sol = online_resolve(
                         state, delta, budget=budget,
                         journal_path=args.checkpoint,
-                        checkpoint_every=(args.checkpoint_every
-                                          or DEFAULT_CHECKPOINT_EVERY),
                         shutdown=shutdown,
                     )
             else:
@@ -789,11 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a crash-safe write-ahead journal here; "
                               "if the process dies, `repro resume JOURNAL` "
                               "finishes the solve bit-identically")
-    p_solve.add_argument("--checkpoint-every", type=int, default=None,
-                         metavar="N",
-                         help="full-state snapshot cadence in cancellation "
-                              "iterations (default 64; smaller = cheaper "
-                              "resume, larger = cheaper solve)")
     p_solve.add_argument("--state", default=None, metavar="STATE",
                          help="persist the solved instance + solution as an "
                               "online session; apply churn deltas to it "
@@ -828,10 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write a crash-safe journal for the warm "
                                 "cancellation; `repro resume JOURNAL` "
                                 "finishes a killed resolve bit-identically")
-    p_resolve.add_argument("--checkpoint-every", type=int, default=None,
-                           metavar="N",
-                           help="snapshot cadence in cancellation iterations "
-                                "(default 64)")
     p_resolve.set_defaults(func=cmd_resolve)
 
     p_resume = sub.add_parser(

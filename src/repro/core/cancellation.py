@@ -74,8 +74,8 @@ class IterationRecord:
 class ResumeState:
     """Mid-loop cancellation state restored from a checkpoint journal.
 
-    Built by :func:`repro.robustness.checkpointing.resume_krsp` out of the
-    last durable snapshot plus tail replay; handing it to
+    Built by :func:`repro.robustness.checkpointing.resume_krsp` by
+    replaying every journal iteration record from the prelude; handing it to
     :func:`cancel_to_feasibility` makes the loop continue exactly where
     the crashed process stopped — same solution, same repetition-guard
     memory, same best-so-far — so the continuation is bit-identical to the
@@ -145,10 +145,10 @@ def cancel_to_feasibility(
         Checkpoint hook (duck-typed — see
         :class:`repro.robustness.checkpointing.CheckpointHook`). Per
         iteration the hook durably records the step *before* it is
-        committed in memory (write-ahead discipline), periodically
-        snapshots the full loop state, and exposes a cooperative
-        shutdown poll: a pending SIGINT/SIGTERM flushes a snapshot and
-        raises :class:`~repro.errors.SolveInterrupted`.
+        committed in memory (write-ahead discipline) and exposes a
+        cooperative shutdown poll: a pending SIGINT/SIGTERM raises
+        :class:`~repro.errors.SolveInterrupted`, every committed step
+        already durable.
     resume_state:
         Restored mid-loop state from a journal
         (:class:`ResumeState`); ``start`` is then ignored as the
@@ -210,19 +210,9 @@ def cancel_to_feasibility(
         seen_states = set(resume_state.seen_states)
         best = resume_state.best
 
-    def _checkpoint_state() -> dict:
-        # Read at call time, so one closure serves every snapshot point.
-        return {
-            "solution": sol,
-            "best": best,
-            "seen_states": seen_states,
-            "records": result.records,
-            "meter": meter,
-        }
-
     while sol.delay > D:
         if journal is not None:
-            journal.poll_shutdown(_checkpoint_state)
+            journal.poll_shutdown()
         if result.iterations >= max_iterations:
             if meter is not None:
                 result.exhausted = "iterations"
@@ -376,8 +366,6 @@ def cancel_to_feasibility(
             best = sol
         if meter is not None:
             meter.iterations_used += 1
-        if journal is not None:
-            journal.maybe_snapshot(result.iterations, _checkpoint_state)
 
     if result.exhausted is not None:
         # Hand back the closest-to-feasible valid solution, not the

@@ -81,7 +81,6 @@ from repro.online.deltas import (
 )
 from repro.robustness.budget import SolveBudget, metered
 from repro.robustness.checkpointing import (
-    DEFAULT_CHECKPOINT_EVERY,
     CheckpointHook,
     _solve_config,
     solve_checkpointed,
@@ -191,7 +190,6 @@ def resolve(
     budget: SolveBudget | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     journal_path=None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     shutdown=None,
     fsync: bool = True,
 ) -> KRSPSolution:
@@ -320,7 +318,6 @@ def resolve(
         budget=budget,
         max_iterations=max_iterations,
         journal_path=journal_path,
-        checkpoint_every=checkpoint_every,
         shutdown=shutdown,
         fsync=fsync,
     )
@@ -363,7 +360,6 @@ def _resolve_warm(
     budget: SolveBudget | None,
     max_iterations: int,
     journal_path,
-    checkpoint_every: int,
     shutdown,
     fsync: bool,
 ) -> KRSPSolution:
@@ -398,7 +394,6 @@ def _resolve_warm(
                         max_iterations=max_iterations,
                         opt_cost=None,
                         strict_monitor=False,
-                        checkpoint_every=checkpoint_every,
                     )
                     writer = JournalWriter.fresh(
                         journal_path,
@@ -408,9 +403,7 @@ def _resolve_warm(
                         config=config,
                         fsync=fsync,
                     )
-                    hook = CheckpointHook(
-                        writer, every=checkpoint_every, shutdown=shutdown
-                    )
+                    hook = CheckpointHook(writer, shutdown=shutdown)
                     # The warm start plays the prelude's phase-1 role: a
                     # killed resolve resumes through the stock resume_krsp
                     # path, bit-identically, with no online-specific code.
@@ -512,7 +505,6 @@ def _resolve_cold(
     budget: SolveBudget | None,
     max_iterations: int,
     journal_path,
-    checkpoint_every: int,
     shutdown,
     fsync: bool,
 ) -> KRSPSolution:
@@ -530,7 +522,6 @@ def _resolve_cold(
                 inst.k,
                 inst.delay_bound,
                 journal_path=journal_path,
-                checkpoint_every=checkpoint_every,
                 phase1=state.phase1,
                 max_iterations=max_iterations,
                 shutdown=shutdown,

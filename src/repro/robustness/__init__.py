@@ -15,12 +15,13 @@ package is the seam the whole stack routes through to guarantee that:
   with retry/backoff (``repro solve --deadline S --fallback``);
 * :mod:`repro.robustness.journal` / :mod:`repro.robustness.checkpointing`
   — crash safety: a CRC-framed, fsync'd write-ahead journal of the
-  cancellation loop, periodic full-state snapshots, and
-  :func:`resume_krsp`, which reconstructs a killed solve and finishes it
-  bit-identically (``repro solve --checkpoint J`` / ``repro resume J``);
+  cancellation loop and :func:`resume_krsp`, which replays it to
+  reconstruct a killed solve and finishes it bit-identically
+  (``repro solve --checkpoint J`` / ``repro resume J``);
 * :mod:`repro.robustness.signals` — two-strike SIGINT/SIGTERM handling
-  (:class:`GracefulShutdown`): the first signal flushes a checkpoint and
-  exits ``128 + signum``, the second hard-exits.
+  (:class:`GracefulShutdown`): the first signal stops the solve, every
+  committed step already durable, and exits ``128 + signum``; the second
+  hard-exits.
 
 Typical use::
 
@@ -69,7 +70,6 @@ from repro.robustness.signals import GracefulShutdown
 # so it must load lazily to keep the import graph acyclic (PEP 562).
 _CHECKPOINTING_NAMES = {
     "CheckpointHook",
-    "DEFAULT_CHECKPOINT_EVERY",
     "resume_krsp",
     "solve_checkpointed",
 }
@@ -87,7 +87,6 @@ __all__ = [
     "Certificate",
     "CheckpointHook",
     "DEFAULT_CHAIN",
-    "DEFAULT_CHECKPOINT_EVERY",
     "GracefulShutdown",
     "JOURNAL_FORMAT_VERSION",
     "JournalDoc",

@@ -6,12 +6,14 @@ solving:
 
 * :func:`solve_checkpointed` — ``solve_krsp`` with a journal attached:
   every cancellation step is durable *before* it is committed in memory,
-  periodic snapshots bound the replay cost, and a pending SIGINT/SIGTERM
-  (via :class:`repro.robustness.signals.GracefulShutdown`) flushes a final
-  snapshot and raises :class:`~repro.errors.SolveInterrupted`.
-* :func:`resume_krsp` — reconstructs the solver from a journal (snapshot
-  load + verified tail replay) and continues to a result **bit-identical** to the uninterrupted run: same
-  paths, same cost/delay, same ``cancel.iteration`` telemetry trail.
+  and a pending SIGINT/SIGTERM (via
+  :class:`repro.robustness.signals.GracefulShutdown`) raises
+  :class:`~repro.errors.SolveInterrupted` with every committed step
+  already on disk.
+* :func:`resume_krsp` — reconstructs the solver from a journal (the
+  prelude plus a verified replay of every iteration record) and continues
+  to a result **bit-identical** to the uninterrupted run: same paths,
+  same cost/delay, same ``cancel.iteration`` telemetry trail.
 * :class:`CheckpointHook` — the duck-typed seam ``cancel_to_feasibility``
   and ``_solve_krsp_impl`` call; constructed by the two functions above.
 
@@ -36,25 +38,25 @@ is re-validated against the graph:
 Any violation raises :class:`~repro.errors.JournalError` — a journal that
 contradicts its own instance is worse than no journal.
 
-Journals hold no residual graph: every cancellation iteration builds its
-residual from the current solution, so a restored solution is all the
-loop needs. Older journals whose iteration records carry a
-``residual_version`` and whose snapshots carry a ``residual`` still
-resume; both keys are ignored.
+The loop's state after step ``i`` is its current ``k`` paths, and each
+iteration builds its residual from them, so the prelude plus the
+iteration records are the whole state: resume replays every record after
+the prelude. Older v1 journals may also hold ``snapshot`` records and
+iteration records with a ``residual_version``; both are ignored.
 
-Scope: checkpointing supports the production finder (the configuration
-the journal header pins) and no epsilon-scaling;
-:func:`solve_checkpointed` rejects anything else up front.
+Scope: checkpointed solves always run the production finder and no
+epsilon-scaling; :func:`solve_checkpointed` takes no option for either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from repro import obs
 from repro.core.cancellation import (
     DEFAULT_MAX_ITERATIONS,
+    CancellationResult,
     IterationRecord,
     ResumeState,
     cancel_to_feasibility,
@@ -71,17 +73,10 @@ from repro.robustness.journal import (
     KIND_FINAL,
     KIND_ITERATION,
     KIND_PRELUDE,
-    KIND_SNAPSHOT,
     JournalWriter,
     instance_config_hash,
 )
 from repro.robustness.signals import GracefulShutdown
-
-#: Default snapshot cadence (iterations between full-state snapshots).
-#: Snapshots carry every past record and the seen-state set, so they are
-#: much heavier than iteration records; the tail replayed on resume is at
-#: most this many records.
-DEFAULT_CHECKPOINT_EVERY = 64
 
 
 # -- scalar / path encoding -------------------------------------------------
@@ -97,23 +92,6 @@ def _dec_fraction(text: str | None) -> Fraction | None:
 
 def _enc_paths(paths) -> list[list[int]]:
     return [[int(e) for e in p] for p in paths]
-
-
-def _enc_record(rec: IterationRecord, *, solution_edges: int, cycle_edges: int) -> dict[str, Any]:
-    """Journal-side form of one :class:`IterationRecord` (plus the two edge
-    counts the ``cancel.iteration`` event needs for bit-identical
-    re-emission)."""
-    return {
-        "iteration": rec.iteration,
-        "cycle_type": rec.cycle_type.name,
-        "cycle_cost": rec.cycle_cost,
-        "cycle_delay": rec.cycle_delay,
-        "cycle_edges": cycle_edges,
-        "solution_edges": solution_edges,
-        "cost_after": rec.cost_after,
-        "delay_after": rec.delay_after,
-        "r_value": _enc_fraction(rec.r_value),
-    }
 
 
 def _dec_record(data: dict[str, Any]) -> IterationRecord:
@@ -154,28 +132,21 @@ class CheckpointHook:
     """The seam the solver calls to make one run crash-safe.
 
     ``cancel_to_feasibility`` invokes :meth:`poll_shutdown` at the top of
-    every iteration, :meth:`record_iteration` after selecting/applying a
-    cycle but *before* committing it in memory (write-ahead discipline),
-    and :meth:`maybe_snapshot` after the commit; ``_solve_krsp_impl``
-    invokes :meth:`write_prelude` once phase 1 and the bound steps are
-    done. All methods are duck-typed — the solver core never imports this
-    module.
+    every iteration and :meth:`record_iteration` after selecting/applying
+    a cycle but *before* committing it in memory (write-ahead
+    discipline); ``_solve_krsp_impl`` invokes :meth:`write_prelude` once
+    phase 1 and the bound steps are done. All methods are duck-typed — the
+    solver core never imports this module.
     """
 
     def __init__(
         self,
         writer: JournalWriter,
         *,
-        every: int = DEFAULT_CHECKPOINT_EVERY,
         shutdown: GracefulShutdown | None = None,
     ) -> None:
         self.writer = writer
-        self.every = max(1, int(every))
         self.shutdown = shutdown
-        # {iteration: (cycle_edges, solution_edges)} — the two counts the
-        # cancel.iteration event carries but IterationRecord does not;
-        # snapshots embed them so resume can re-emit the trail verbatim.
-        self._counts: dict[int, tuple[int, int]] = {}
 
     @property
     def path(self):
@@ -183,13 +154,13 @@ class CheckpointHook:
 
     # -- solver-facing hooks --------------------------------------------
 
-    def poll_shutdown(self, state_fn: Callable[[], dict[str, Any]]) -> None:
-        """Cooperative shutdown: on a pending first signal, flush a full
-        snapshot and raise :class:`SolveInterrupted` (the CLI maps it to
-        exit code ``128 + signum`` after printing the journal path)."""
+    def poll_shutdown(self) -> None:
+        """Cooperative shutdown: on a pending first signal raise
+        :class:`SolveInterrupted` (the CLI maps it to exit code
+        ``128 + signum`` after printing the journal path). Every committed
+        step is already durable, so there is nothing to flush."""
         if self.shutdown is None or not self.shutdown.triggered:
             return
-        self.snapshot_now(state_fn)
         raise SolveInterrupted(self.shutdown.signum, checkpoint_path=self.path)
 
     def record_iteration(
@@ -205,22 +176,20 @@ class CheckpointHook:
     ) -> None:
         new_edges = set(int(e) for e in new_sol.edge_ids)
         flipped = sorted(set(int(e) for e in prev_edge_ids) ^ new_edges)
-        self._counts[iteration] = (len(cycle.edges), len(new_edges))
-        rec = IterationRecord(
-            iteration=iteration,
-            cycle_type=ctype,
-            cycle_cost=cycle.cost,
-            cycle_delay=cycle.delay,
-            cost_after=new_sol.cost,
-            delay_after=new_sol.delay,
-            r_value=r_before,
-        )
-        payload = _enc_record(
-            rec, solution_edges=len(new_edges), cycle_edges=len(cycle.edges)
-        )
-        payload.update(
+        self.writer.append(
             {
                 "kind": KIND_ITERATION,
+                "iteration": iteration,
+                "cycle_type": ctype.name,
+                "cycle_cost": cycle.cost,
+                "cycle_delay": cycle.delay,
+                # The two edge counts the cancel.iteration event carries,
+                # so resume re-emits the trail verbatim.
+                "cycle_edges": len(cycle.edges),
+                "solution_edges": len(new_edges),
+                "cost_after": new_sol.cost,
+                "delay_after": new_sol.delay,
+                "r_value": _enc_fraction(r_before),
                 "flipped": flipped,
                 # The full new solution, not just the flip: the live loop's
                 # decompose + strip ordering is what resume must land on
@@ -230,45 +199,6 @@ class CheckpointHook:
                 "meter": meter.usage() if meter is not None else None,
             }
         )
-        self.writer.append(payload)
-
-    def maybe_snapshot(
-        self, iterations: int, state_fn: Callable[[], dict[str, Any]]
-    ) -> None:
-        if iterations % self.every == 0:
-            self.snapshot_now(state_fn)
-
-    def snapshot_now(self, state_fn: Callable[[], dict[str, Any]]) -> None:
-        """Append a full-state snapshot record (bounds the resume tail)."""
-        state = state_fn()
-        sol: PathSet = state["solution"]
-        best: PathSet = state["best"]
-        records: list[IterationRecord] = state["records"]
-        meter = state.get("meter")
-        self.writer.append(
-            {
-                "kind": KIND_SNAPSHOT,
-                "iteration": len(records),
-                "paths": _enc_paths(sol.paths),
-                "best_paths": _enc_paths(best.paths),
-                "seen_states": [list(s) for s in sorted(state["seen_states"])],
-                "records": [
-                    # Counts for re-emission are derivable for past records
-                    # only from their journal copies; the snapshot embeds
-                    # them so it is self-contained.
-                    self._snapshot_record(r)
-                    for r in records
-                ],
-                "meter": meter.usage() if meter is not None else None,
-            }
-        )
-
-    def _snapshot_record(self, rec: IterationRecord) -> dict[str, Any]:
-        # Edge counts live on the matching journal iteration record; pull
-        # them from the in-memory cache maintained by record_iteration so
-        # snapshots never need to re-read the file.
-        counts = self._counts.get(rec.iteration, (0, 0))
-        return _enc_record(rec, cycle_edges=counts[0], solution_edges=counts[1])
 
     # -- pipeline bookends ----------------------------------------------
 
@@ -308,19 +238,6 @@ class CheckpointHook:
         )
 
 
-def _make_hook(
-    writer: JournalWriter,
-    *,
-    every: int,
-    shutdown: GracefulShutdown | None,
-    counts: dict[int, tuple[int, int]] | None = None,
-) -> CheckpointHook:
-    hook = CheckpointHook(writer, every=every, shutdown=shutdown)
-    if counts:
-        hook._counts.update(counts)
-    return hook
-
-
 def _solve_config(
     *,
     phase1: str,
@@ -328,7 +245,6 @@ def _solve_config(
     max_iterations: int,
     opt_cost: int | None,
     strict_monitor: bool,
-    checkpoint_every: int,
 ) -> dict[str, Any]:
     return {
         "phase1": phase1,
@@ -336,8 +252,6 @@ def _solve_config(
         "max_iterations": max_iterations,
         "opt_cost": opt_cost,
         "strict_monitor": strict_monitor,
-        "finder": "production",
-        "checkpoint_every": checkpoint_every,
     }
 
 
@@ -349,13 +263,11 @@ def solve_checkpointed(
     delay_bound: int,
     *,
     journal_path,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     phase1: str = DEFAULT_PROVIDER,
     b_max: int | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     opt_cost: int | None = None,
     strict_monitor: bool = False,
-    finder: str = "production",
     shutdown: GracefulShutdown | None = None,
     fsync: bool = True,
 ) -> KRSPSolution:
@@ -363,25 +275,20 @@ def solve_checkpointed(
 
     The result is bit-identical to the journal-less call (journalling only
     observes; it never changes a solver decision). On a first
-    SIGINT/SIGTERM (when ``shutdown`` is active) a snapshot is flushed and
+    SIGINT/SIGTERM (when ``shutdown`` is active)
     :class:`SolveInterrupted` propagates with the journal path attached;
+    every committed step is already durable, and
     ``resume_krsp(journal_path)`` later finishes the run.
 
-    Only the production finder is supported, and no epsilon-scaling
-    (scaled iterations are not replayable in original units).
+    It always runs the production finder and no epsilon-scaling (scaled
+    iterations are not replayable in original units).
     """
-    if finder != "production":
-        raise GraphError(
-            "checkpointed solving supports only the production finder "
-            f"(got {finder!r})"
-        )
     config = _solve_config(
         phase1=phase1,
         b_max=b_max,
         max_iterations=max_iterations,
         opt_cost=opt_cost,
         strict_monitor=strict_monitor,
-        checkpoint_every=checkpoint_every,
     )
     writer = JournalWriter.fresh(
         journal_path,
@@ -389,7 +296,7 @@ def solve_checkpointed(
         config=config,
         fsync=fsync,
     )
-    hook = _make_hook(writer, every=checkpoint_every, shutdown=shutdown)
+    hook = CheckpointHook(writer, shutdown=shutdown)
     try:
         sol = solve_krsp(
             g,
@@ -429,21 +336,20 @@ def _replay_tail(
     inst: KRSPInstance,
     *,
     start: PathSet,
-    best: PathSet,
-    seen: set[tuple[int, ...]],
-    records: list[IterationRecord],
     tail: list[dict[str, Any]],
     cost_bound: Fraction | None,
     exact_bound: bool,
-) -> tuple[PathSet, PathSet]:
-    """Replay journal iteration records, verifying each one.
+) -> ResumeState:
+    """Replay journal iteration records from ``start``, verifying each one.
 
     Every record is checked against the graph and the solution before it
     (see the module docstring) and re-emitted as its ``cancel.iteration``
-    event. Returns the (solution, best) pair after the last record.
+    event. Returns the loop state after the last record.
     """
     D = inst.delay_bound
-    sol = start
+    sol = best = start
+    seen = {tuple(sorted(start.edge_ids))}
+    records: list[IterationRecord] = []
     prev_r: Fraction | None = None
     for rec in tail:
         expected = len(records) + 1
@@ -508,7 +414,7 @@ def _replay_tail(
         sol = new_sol
         if (sol.delay, sol.cost) < (best.delay, best.cost):
             best = sol
-    return sol, best
+    return ResumeState(solution=sol, records=records, seen_states=seen, best=best)
 
 
 def resume_krsp(
@@ -520,15 +426,16 @@ def resume_krsp(
     """Resume a (possibly crashed) checkpointed solve from its journal.
 
     Reads the journal (torn tail truncated), verifies the sealed header,
-    restores the newest snapshot (or the prelude, or — header-only — just
-    restarts the solve into the same journal), replays the iteration tail
-    with full verification (see module docstring), re-emits the ``cancel.iteration`` telemetry
-    trail, and continues the cancellation loop to completion. The final
-    :class:`KRSPSolution` is bit-identical to what the uninterrupted run
-    would have produced.
+    rebuilds the loop state from the prelude (or — header-only — just
+    restarts the solve into the same journal), replays every iteration
+    record with full verification (see module docstring), re-emitting the
+    ``cancel.iteration`` telemetry trail, and continues the cancellation
+    loop to completion. The final :class:`KRSPSolution` is bit-identical
+    to what the uninterrupted run would have produced.
 
-    A journal that already contains a ``final`` record short-circuits:
-    the stored solution is revalidated and returned without re-solving.
+    A journal that already contains a ``final`` record is replayed and
+    verified the same way; its stored solution is then revalidated and
+    returned without re-solving.
     """
     with obs.span("resume"):
         writer, doc = JournalWriter.reopen(journal_path, fsync=fsync)
@@ -545,14 +452,13 @@ def _resume_inner(
     inst = _rebuild_instance(header)
     g, D = inst.graph, inst.delay_bound
     config = header["config"]
-    every = int(config.get("checkpoint_every", DEFAULT_CHECKPOINT_EVERY))
     prelude = doc.last_of(KIND_PRELUDE)
+    hook = CheckpointHook(writer, shutdown=shutdown)
 
     if prelude is None:
         # Crashed before phase 1 and the bound steps finished: nothing to
         # replay, the solve simply restarts, appending into the same journal.
         obs.inc("journal.resume.restarts")
-        hook = _make_hook(writer, every=every, shutdown=shutdown)
         sol = solve_krsp(
             g,
             inst.s,
@@ -575,95 +481,38 @@ def _resume_inner(
     cost_bound = Fraction(opt_cost) if opt_cost is not None else lower_bound
     provider = prelude["provider"]
 
+    resume_state = _replay_tail(
+        inst,
+        start=inst.path_set([list(p) for p in prelude["p1_paths"]]),
+        tail=doc.of_kind(KIND_ITERATION),
+        cost_bound=cost_bound,
+        exact_bound=opt_cost is not None,
+    )
+
     final = doc.last_of(KIND_FINAL)
-    snap = doc.last_of(KIND_SNAPSHOT)
-    iter_recs = doc.of_kind(KIND_ITERATION)
-
-    # Restore the newest durable full state.
-    if snap is not None:
-        sol = inst.path_set([list(p) for p in snap["paths"]])
-        best = inst.path_set([list(p) for p in snap["best_paths"]])
-        seen = {tuple(int(e) for e in s) for s in snap["seen_states"]}
-        base_records = list(snap["records"])
-        snap_iter = int(snap["iteration"])
+    if final is None:
+        result = cancel_to_feasibility(
+            inst,
+            start=resume_state.solution,
+            cost_lower_bound=lower_bound,
+            opt_cost=opt_cost,
+            cost_cap=prelude.get("cost_cap"),
+            b_max=config["b_max"],
+            max_iterations=config["max_iterations"],
+            strict_monitor=config["strict_monitor"],
+            finder="production",
+            journal=hook,
+            resume_state=resume_state,
+        )
     else:
-        sol = inst.path_set([list(p) for p in prelude["p1_paths"]])
-        best = sol
-        seen = {tuple(sorted(sol.edge_ids))}
-        base_records = []
-        snap_iter = 0
-
-    records = [_dec_record(r) for r in base_records]
-    tail = [r for r in iter_recs if int(r["iteration"]) > snap_iter]
-
-    if final is not None:
-        # Completed journal: revalidate the stored answer and re-emit the
-        # full trail; no solving needed.
-        all_recs = base_records + tail
+        # Completed journal: every record replayed and verified above;
+        # revalidate the stored answer and return it without solving.
         fin_sol = inst.path_set([list(p) for p in final["paths"]])
         if fin_sol.cost != int(final["cost"]) or fin_sol.delay != int(final["delay"]):
             raise JournalError(
                 "final record totals do not match its recorded paths"
             )
-        for rec in all_recs:
-            _emit_iteration_event(rec, D)
-        records += [_dec_record(r) for r in tail]
-        from repro.core.cancellation import CancellationResult
-
-        result = CancellationResult(solution=fin_sol, records=records)
-        return assemble_solution(
-            g,
-            D,
-            final_paths=[list(p) for p in fin_sol.paths],
-            result=result,
-            exhausted=None,
-            lower_bound=lower_bound,
-            provider_name=provider,
-            scaled=False,
-            timings={},
-            meter=None,
-        )
-
-    # The pre-snapshot history replays from the snapshot's embedded copy
-    # (telemetry only — its state is already folded into the snapshot).
-    for rec in base_records:
-        _emit_iteration_event(rec, D)
-
-    sol, best = _replay_tail(
-        inst,
-        start=sol,
-        best=best,
-        seen=seen,
-        records=records,
-        tail=tail,
-        cost_bound=cost_bound,
-        exact_bound=opt_cost is not None,
-    )
-
-    counts = {
-        int(r["iteration"]): (int(r["cycle_edges"]), int(r["solution_edges"]))
-        for r in base_records + tail
-    }
-    hook = _make_hook(writer, every=every, shutdown=shutdown, counts=counts)
-    resume_state = ResumeState(
-        solution=sol,
-        records=records,
-        seen_states=seen,
-        best=best,
-    )
-    result = cancel_to_feasibility(
-        inst,
-        start=sol,
-        cost_lower_bound=lower_bound,
-        opt_cost=opt_cost,
-        cost_cap=prelude.get("cost_cap"),
-        b_max=config["b_max"],
-        max_iterations=config["max_iterations"],
-        strict_monitor=config["strict_monitor"],
-        finder="production",
-        journal=hook,
-        resume_state=resume_state,
-    )
+        result = CancellationResult(solution=fin_sol, records=resume_state.records)
     sol_out = assemble_solution(
         g,
         D,
@@ -676,12 +525,12 @@ def _resume_inner(
         timings={},
         meter=None,
     )
-    hook.write_final(sol_out)
+    if final is None:
+        hook.write_final(sol_out)
     return sol_out
 
 
 __all__ = [
-    "DEFAULT_CHECKPOINT_EVERY",
     "CheckpointHook",
     "resume_krsp",
     "solve_checkpointed",

@@ -40,9 +40,8 @@ Record kinds (payload schemas in docs/ROBUSTNESS.md):
     flipped edge set, cycle cost/delay/type, the Lemma-12 rate, the
     resulting solution, and the budget-meter odometer.
 ``snapshot``
-    Periodic full state (solution, best-so-far, seen states, all
-    iteration records so far) so resume cost is ``O(journal tail)``, not
-    ``O(history)``.
+    Older v1 journals only, ignored: a full-state copy of the records
+    before it. Resume replays every ``iteration`` record instead.
 ``final``
     The finished solution; marks the journal complete.
 
@@ -88,7 +87,6 @@ JOURNAL_MAGIC = "krsp-journal"
 KIND_HEADER = "header"
 KIND_PRELUDE = "prelude"
 KIND_ITERATION = "iteration"
-KIND_SNAPSHOT = "snapshot"
 KIND_FINAL = "final"
 
 
@@ -277,8 +275,6 @@ class JournalWriter:
         obs.add("journal.bytes_written", len(frame))
         if self._fsync:
             obs.inc("journal.fsyncs")
-        if payload.get("kind") == KIND_SNAPSHOT:
-            obs.inc("journal.snapshots_written")
         if (
             self._kill_after_records is not None
             and self._records_written >= self._kill_after_records

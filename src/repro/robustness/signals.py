@@ -4,9 +4,10 @@ Policy (the classic two-strike shutdown):
 
 * **first** signal: set a flag. Cooperative loops (the cancellation loop
   via its checkpoint hook, the parallel harness between completions) poll
-  it, flush their durable state — a journal snapshot, the trial JSONL —
-  and exit with the conventional code ``128 + signum`` (130 for SIGINT,
-  143 for SIGTERM) after printing where the checkpoint landed;
+  it and stop, their durable state — the journal, the trial JSONL —
+  already on disk, and exit with the conventional code ``128 + signum``
+  (130 for SIGINT, 143 for SIGTERM) after printing where the checkpoint
+  landed;
 * **second** signal: the user means it — hard-exit immediately with
   ``os._exit(128 + signum)`` (covers loops stuck in non-cooperative code,
   e.g. a long HiGHS solve).

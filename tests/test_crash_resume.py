@@ -3,8 +3,10 @@ resume, tamper rejection, signals, and the pinned golden fixture.
 
 The instance used throughout is the 3-iteration member of the chaos
 corpus (see ``scripts/chaos_gate.py``): small enough for test time,
-deep enough that a cut can land before, between, and after snapshots
-(``checkpoint_every=2`` puts a snapshot mid-history).
+deep enough that a cut can land before, between, and after iteration
+records. The committed golden fixture is the same solve, written by an
+older build that also appended a ``snapshot`` record after iteration 2;
+resume must ignore it.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ def golden(tmp_path_factory):
     g, s, t, k, bound = _instance()
     with obs.session(label="golden") as tel:
         sol = solve_checkpointed(
-            g, s, t, k, bound, journal_path=path,
-            checkpoint_every=2, phase1="minsum",
+            g, s, t, k, bound, journal_path=path, phase1="minsum",
         )
     assert sol.iterations >= 3, "chaos instance regressed to trivial"
     return {"raw": path.read_bytes(), "fp": _fp(sol), "trail": _trail(tel)}
@@ -183,36 +184,18 @@ def test_resume_bit_identical_across_cuts(tmp_path, golden):
         assert _trail(tel) == golden["trail"], f"cut at byte {cut}"
 
 
-def test_every_iteration_snapshot_resumes_bit_identical(tmp_path, golden):
-    """With a snapshot after every iteration, a cut mid-history resumes
-    from a snapshot to the uninterrupted answer and trail. Journals carry
-    no residual: each iteration builds its own from the solution."""
-    g, s, t, k, bound = _instance()
-    path = tmp_path / "every.journal"
-    with obs.session(label="every") as tel:
-        sol = solve_checkpointed(
-            g, s, t, k, bound, journal_path=path,
-            checkpoint_every=1, phase1="minsum",
-        )
-    assert _fp(sol) == golden["fp"]
-    assert _trail(tel) == golden["trail"]
-    raw = path.read_bytes()
-    records = read_journal_bytes(raw)
+def test_fresh_journal_holds_one_record_per_iteration(golden):
+    """A journal is its header, the prelude, one ``iteration`` record per
+    cancellation step and the final answer: no snapshot, and no residual
+    version, since each iteration builds its residual from the solution."""
+    records = read_journal_bytes(golden["raw"])
     kinds = [r["kind"] for r in records]
-    assert kinds.count("snapshot") == kinds.count("iteration") == sol.iterations
-    assert all("residual" not in r for r in records if r["kind"] == "snapshot")
-    assert all(
-        "residual_version" not in r for r in records if r["kind"] == "iteration"
-    )
-    # Cut right after the second snapshot: one snapshot restores the state
-    # and the loop continues live.
-    second_snapshot = [i for i, kind in enumerate(kinds) if kind == "snapshot"][1]
-    cut_path = tmp_path / "cut.journal"
-    cut_path.write_bytes(raw[: _record_frames(raw)[second_snapshot][1]])
-    with obs.session(label="resumed") as tel2:
-        resumed = resume_krsp(cut_path)
-    assert _fp(resumed) == golden["fp"]
-    assert _trail(tel2) == golden["trail"]
+    iterations = golden["fp"][4]
+    assert kinds == ["header", "prelude"] + ["iteration"] * iterations + ["final"]
+    assert all("residual_version" not in r for r in records)
+    assert set(records[0]["config"]) == {
+        "phase1", "b_max", "max_iterations", "opt_cost", "strict_monitor",
+    }
 
 
 def test_tampered_iteration_record_rejected(tmp_path, golden):
@@ -230,6 +213,21 @@ def test_tampered_iteration_record_rejected(tmp_path, golden):
     with pytest.raises(JournalError):
         resume_krsp(path)
     assert frames  # silence unused warning paranoia
+
+
+def test_completed_journal_with_tampered_iteration_rejected(tmp_path, golden):
+    """A journal that already holds its final record is replayed and
+    verified like any other before its stored answer is returned."""
+    idx = [r["kind"] for r in read_journal_bytes(golden["raw"])].index("iteration")
+
+    def corrupt(payload):
+        payload["cost_after"] = int(payload["cost_after"]) + 1
+
+    path = tmp_path / "tampered_complete.journal"
+    path.write_bytes(_rewrite_record(golden["raw"], idx, corrupt))
+    assert read_journal(path).records[-1]["kind"] == "final"
+    with pytest.raises(JournalError, match="recorded totals"):
+        resume_krsp(path)
 
 
 def test_header_seal_mismatch_rejected(tmp_path, golden):
@@ -290,6 +288,53 @@ def test_golden_fixture_replays():
         assert _fp(sol2) == _fp(sol)
 
 
+def _golden_fixture_snapshot_cut(mutate=None) -> bytes:
+    """The committed fixture cut right after its snapshot record, with
+    ``mutate`` applied to that snapshot's payload (valid CRC)."""
+    raw = GOLDEN_FIXTURE.read_bytes()
+    kinds = [r["kind"] for r in read_journal_bytes(raw)]
+    idx = kinds.index("snapshot")
+    if mutate is not None:
+        raw = _rewrite_record(raw, idx, mutate)
+    return raw[: _record_frames(raw)[idx][1]]
+
+
+def _assert_resumes_to_expect(path):
+    expected = json.loads((CORPUS_DIR / "golden_v1.expect").read_text())
+    with obs.session(label="golden fixture") as tel:
+        sol = resume_krsp(path)
+    assert (sol.cost, sol.delay, sol.iterations) == (
+        expected["cost"], expected["delay"], expected["iterations"],
+    )
+    assert [list(p) for p in sol.paths] == expected["paths"]
+    # The fixture's prelude holds the lower bound of the build that wrote
+    # it, so only the trail's length is comparable with a fresh run.
+    assert [e["iteration"] for e in _trail(tel)] == list(
+        range(1, expected["iterations"] + 1)
+    )
+
+
+def test_golden_fixture_cut_after_snapshot_resumes(tmp_path):
+    """Cut right after the fixture's snapshot: resume replays the
+    iteration records before it and continues live."""
+    path = tmp_path / "golden_snapcut.journal"
+    path.write_bytes(_golden_fixture_snapshot_cut())
+    _assert_resumes_to_expect(path)
+
+
+def test_golden_fixture_snapshot_is_never_read(tmp_path):
+    """Snapshot records in older v1 journals are ignored: garbage paths in
+    one (under a valid CRC) change nothing."""
+
+    def garble(payload):
+        payload["paths"] = [[10**6], [-1, -2], []]
+        payload["best_paths"] = [[10**6]]
+
+    path = tmp_path / "golden_garbled_snapshot.journal"
+    path.write_bytes(_golden_fixture_snapshot_cut(garble))
+    _assert_resumes_to_expect(path)
+
+
 # -- process-level: signals and kills -------------------------------------
 
 
@@ -297,8 +342,7 @@ def _spawn_solve(inst_path, journal, extra_env, *args):
     env = dict(os.environ, PYTHONPATH=str(SRC), **extra_env)
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "solve", str(inst_path),
-         "--checkpoint", str(journal), "--checkpoint-every", "2",
-         "--phase1", "minsum", *args],
+         "--checkpoint", str(journal), "--phase1", "minsum", *args],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
 

@@ -86,6 +86,27 @@ def test_lemma3_soft_cap_admits_too_costly_type1_cycle():
     assert sol.cost <= 2 * exact.cost
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=InfeasibleInstanceError,
+    reason=(
+        "Algorithm 1 step 2(a) with the exact optimum: from the start path "
+        "(cost 6, delay 14) the residual holds no bicameral cycle under "
+        "opt_cost = C_OPT = 31, although the instance is feasible; without "
+        "opt_cost the answer costs 57"
+    ),
+)
+def test_exact_opt_cost_finds_no_bicameral_cycle():
+    """A draw of ``test_lemma3_bifactor_1_2`` (seed 92, k=1, D=10) that
+    contradicts "``G >= C_OPT`` always finds a bicameral cycle"."""
+    g = _random_instance(92)
+    exact = solve_krsp_milp(g, 0, 9, 1, 10)
+    assert (exact.cost, exact.delay) == (31, 10)
+    sol = solve_krsp(g, 0, 9, 1, 10, phase1="minsum", opt_cost=exact.cost)
+    assert sol.delay <= 10
+    assert sol.cost <= 2 * exact.cost
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 10**6), st.integers(10, 60))
 def test_feasibility_trichotomy(seed, D):

@@ -1,5 +1,6 @@
 """Tests for RNG plumbing, timers and exact ratio arithmetic."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -46,22 +47,14 @@ class TestTimer:
         t = Timer()
         for _ in range(3):
             with t.section("work"):
-                pass
-        assert t.count("work") == 3
-        assert t.total("work") >= 0.0
-        assert t.total("absent") == 0.0 and t.count("absent") == 0
-
-    def test_merge(self):
-        a, b = Timer(), Timer()
-        with a.section("x"):
+                time.sleep(0.001)
+        with t.section("other"):
             pass
-        with b.section("x"):
-            pass
-        with b.section("y"):
-            pass
-        a.merge(b)
-        assert a.count("x") == 2 and a.count("y") == 1
-        assert set(a.as_dict()) == {"x", "y"}
+        totals = t.as_dict()
+        assert set(totals) == {"work", "other"}
+        assert totals["work"] >= 0.003  # every entry accumulated
+        totals["work"] = -1.0  # a copy: the timer is unchanged
+        assert t.as_dict()["work"] >= 0.003
 
 
 nonzero = st.integers(-50, 50).filter(lambda v: v != 0)
