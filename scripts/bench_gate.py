@@ -31,11 +31,11 @@ hardware):
   warm churn replay (``kernel_online_warm``), whose bound refreshes run
   the same walk from the session's last multiplier. (This replaced an E5
   ``lp.pivots`` ceiling that passed at 0 once the ratio search left HiGHS.)
-* **Ratio search gate** — the exact ratio search
-  (:func:`repro.core.auxlp.min_ratio_cycle`) is held to a deterministic
-  ``search.ratio.newton_steps`` ceiling on the E5 cancellation kernel, so a change
-  that makes the Newton iteration converge more slowly fails in every
-  mode.
+* **Ratio search gate** — the one-wrap ratio search
+  (:func:`repro.core.auxlp.min_ratio_cycles`) is held to a deterministic
+  ``search.ratio.potential_rounds`` ceiling on the E5 cancellation kernel,
+  so a change that makes its Bellman–Ford potential passes run longer, or
+  run on more levels, fails in every mode.
 * **Aux-graph gate** — the layered graphs the bicameral sweep builds are
   held to a deterministic ``search.aux_edges`` ceiling on the same kernel,
   so a change that makes the sweep build more or larger levels fails.
@@ -89,11 +89,10 @@ FLOW_LP_CEILINGS = {
     "e7_solver": 0,
     "e10_online_warm": 0,
 }
-# Deterministic Newton-step ceilings per kernel: the E5 measurement once
-# each sign's search starts from its optimum at the sweep level below
-# (11 passes after the first; 106 when every search started fresh) plus 5%.
-NEWTON_STEP_CEILINGS = {
-    "e5_cancellation": 12,
+# Deterministic potential-pass ceilings per kernel: the E5 measurement of
+# the one-wrap search's Bellman–Ford rounds (1,683) plus 5%.
+POTENTIAL_ROUND_CEILINGS = {
+    "e5_cancellation": 1_768,
 }
 # Deterministic aux-graph size ceilings per kernel: the E5 measurement once
 # levels ruled out on the residual build no aux graph (203,659 edges built;
@@ -386,16 +385,16 @@ def run_gate(args) -> int:
                     )
         print(line)
 
-    # -- deterministic counter ceilings: flow-LP solves, Newton steps and
-    # aux-graph edges
+    # -- deterministic counter ceilings: flow-LP solves, potential-pass
+    # rounds and aux-graph edges
     kernel_counters = {
         name: entry["counters"] for name, entry in report["kernels"].items()
     }
     kernel_counters["e10_online_warm"] = _counters_of(kernel_online_warm)
     for block, key, counter, ceilings in (
         ("flow_lp", "solves", "lp.flow_lp.solves", FLOW_LP_CEILINGS),
-        ("ratio_search", "newton_steps", "search.ratio.newton_steps",
-         NEWTON_STEP_CEILINGS),
+        ("ratio_search", "potential_rounds", "search.ratio.potential_rounds",
+         POTENTIAL_ROUND_CEILINGS),
         ("aux_graph", "aux_edges", "search.aux_edges", AUX_EDGE_CEILINGS),
     ):
         values = {

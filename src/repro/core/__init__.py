@@ -22,7 +22,7 @@ from repro.core.auxgraph import AuxGraph, build_aux_paper, build_aux_shifted
 from repro.core.auxlp import (
     candidates_from_circulation,
     candidates_from_cycles,
-    min_ratio_cycle,
+    min_ratio_cycles,
     peel_fractional_cycles,
 )
 from repro.core.search import (
@@ -77,7 +77,7 @@ __all__ = [
     "build_aux_shifted",
     "candidates_from_circulation",
     "candidates_from_cycles",
-    "min_ratio_cycle",
+    "min_ratio_cycles",
     "peel_fractional_cycles",
     "SearchStats",
     "find_bicameral_candidates",

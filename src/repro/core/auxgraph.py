@@ -19,7 +19,9 @@ Two constructions:
   *every* vertex and for *both* cost signs. Any residual cycle whose
   running-cost spread is at most ``B`` is representable from any starting
   vertex, so one graph per ``B`` serves the whole search instead of one
-  per ``(v, B)`` pair.
+  per ``(v, B)`` pair. The search closes each cycle through a single wrap
+  (:func:`repro.core.auxlp.min_ratio_cycles`), so each cycle it returns
+  is one of some ``H_v^+(B)`` or ``H_v^-(B)``.
 
 Both return an :class:`AuxGraph` carrying the maps back to residual edges.
 """

@@ -1,52 +1,51 @@
-"""Optimal cycles of auxiliary graphs, LP (6), and candidate extraction.
+"""Optimal one-wrap cycles of auxiliary graphs, LP (6), and candidate extraction.
 
 The paper solves a linear program over circulations of the auxiliary graph
 and releases the cycles in its support (Algorithm 3 steps 1(a)ii–iii);
-Theorem 16 needs only *an optimal cycle* of ``H``. The production search,
-:func:`min_ratio_cycle`, finds one directly. For a cost sign it minimises
+Theorem 16 needs only *an optimal cycle* of ``H_v^+(B)`` / ``H_v^-(B)``.
+Their wraps sit at the one anchor ``v`` (Algorithm 2), so a simple cycle
+passes through one wrap and costs at most ``B``. The production search,
+:func:`min_ratio_cycles`, keeps that shape on the shifted graph, whose
+wraps sit at every vertex. For each cost sign it minimises
 
-    d(C) / W(C)   over the cycles C of H with W(C) > 0,
+    d(P) / c0   over the wraps w of that sign with head at an anchor and
+                c0 = |wrap_cost(w)| <= c_max, and the non-wrap paths P
+                from head(w) to tail(w),
 
-where ``d`` is the H-edge delay and ``W`` is ``|wrap_cost|`` on the wraps
-of the chosen sign and 0 on every other edge. Wrap edges are the only way
-to shift accumulated cost back to zero, so ``W(C)`` is the |cost| of the
-residual cycle that ``C`` represents. This is the classical minimum
-cost-to-time ratio cycle (Dinkelbach; Lawler; survey: Dasdan, Irani and
-Gupta, DAC 1999), and the min-ratio circulation LP that earlier versions
-handed to HiGHS has the same optimum: a circulation splits into cycles,
-and its normalised objective is a weighted mean of their ratios.
+where ``d`` is the H-edge delay and ``c0`` the |cost| of the closed
+residual walk ``P`` represents: the classical minimum cost-to-time ratio
+cycle (Lawler; survey: Dasdan, Irani and Gupta, DAC 1999), through one
+wrap. One search serves both signs:
 
-The search runs Newton (Dinkelbach) steps over integer Bellman–Ford on the
-:func:`circulation_edges` of the sign, every weight an int64:
+1. **Potential pass.** An integer Bellman–Ford over the non-wrap edges
+   from the heads of the anchors' wraps, at distance 0; nothing they do
+   not reach is searched. A negative cycle there returns to its own cost
+   level, so it is a cost-0, negative-delay walk (type 0, what the search
+   wants most), returned at once for both signs. Otherwise the distances
+   are potentials ``pi``, and every reduced delay
+   ``d(e) + pi(tail) - pi(head)`` on a reached edge is nonnegative.
+2. **Multi-source Dijkstra** (scipy) over the reduced delays from those
+   heads. A path's reduced length differs from its delay by
+   ``pi(start) - pi(end)``, so the shortest paths are the same, and every
+   distance is an integer below :data:`EXACT_LIMIT`, exact in float64.
+3. **Pick.** Per sign, the wrap of least exact ``d(P)/c0``; its path is
+   read off the predecessors and closed with the wrap.
 
-1. **Skip.** No chosen-sign wrap among the edges: no such cycle, no pass.
-2. **Start at** ``lambda = M``. With ``M = sum |d| + 1``, every simple
-   cycle through a chosen wrap has ``d < M <= M*W``, so the first pass,
-   under ``d - M*W``, finds a negative cycle.
-3. **Newton steps.** With ``lambda = p/q = d(C)/W(C)`` of the current
-   cycle, a cycle with ``W > 0`` is negative under ``q*d - p*W`` exactly
-   when its ratio is below ``lambda``. Each step strictly lowers
-   ``lambda`` over finitely many simple cycles. When a pass finds no
-   negative cycle, its distances ``pi`` satisfy
-   ``q*d(e) - p*W(e) + pi(tail) - pi(head) >= 0`` on every edge; summed
-   round any cycle this gives ``d(C)/W(C) >= lambda``, so ``lambda`` is the
-   optimum, certified in integers with no LP tolerance.
-4. **Cost-0 cycles.** A negative cycle with ``W = 0`` is a cost-0,
-   negative-delay residual cycle (type 0, what the search wants most):
-   it beats every ratio and is returned at once. Such a cycle is
-   negative under every pass's weights (``q > 0``), so no pass comes back
-   empty while one exists: the search returns a cost-0 cycle whenever
-   there is one, without a pass of its own.
-
-Each pass is a synchronous Bellman–Ford from a virtual source that looks
-for a cycle in its predecessor graph every :data:`CYCLE_CHECK_ROUNDS`
-rounds. Every such cycle is negative: each predecessor edge ``(u, v)``
-keeps ``dist[v] >= dist[u] + w``, and strictly so on at least one edge of
-the cycle (the one whose tail improved after it was used). Among the
-cycles found, the one of least ratio becomes the next iterate. The
-returned cycle is projected to a residual closed walk and split into
-simple residual cycles whose totals are recomputed from the residual's
-integer weights (:func:`candidates_from_cycles`).
+What Theorem 16 then gives: the released H-cycle's ratio is at most that
+of every simple residual cycle through an anchor whose running cost from
+there stays within ``[-B, B]`` (so every one of spread at most ``B``)
+and whose |cost| is at most ``c_max``. A shortest path is simple in ``H``
+but may visit a base vertex at two cost levels. Its projection is then a
+closed residual walk that
+:func:`~repro.core.cycle_decompose.split_closed_walk` splits into simple
+cycles, none of cost 0 (that would repeat an H node), whose costs sum to
+``+-c0`` and delays to ``d(P)``. If every piece has the walk's cost sign,
+one has ratio at most ``d(P)/c0`` (the mediant inequality) and |cost| at
+most ``c0``, so the guarantee passes to it. If the signs mix, it does
+not: every piece is still released and classified on its exact residual
+totals (:func:`candidates_from_cycles`), and the later levels, the
+Bellman–Ford probes and the fallback tiers of
+:func:`repro.core.search.find_bicameral_cycle` decide.
 
 LP (6) itself (:func:`solve_lp6`) stays for the paper-literal finder,
 whose fractional optima are peeled into H-cycles
@@ -59,7 +58,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import dijkstra
 
 from repro import obs
 from repro.core.auxgraph import AuxGraph
@@ -77,38 +76,17 @@ PEEL_TOL = 1e-7
 #: otherwise make it unbounded; see :func:`solve_lp6`.
 MASS_CAP = 1e6
 
-#: Bellman–Ford rounds between two looks for a predecessor-graph cycle.
-CYCLE_CHECK_ROUNDS = 4
+#: Bound on ``2 * n * max |d|`` over ``n`` H nodes: a potential is a path
+#: delay over under ``n`` edges, and a reduced distance such a delay plus a
+#: potential difference, so each is an integer below it, exact in float64.
+EXACT_LIMIT = 1 << 53
 
-#: Bound on ``(n + 1) * max |w|`` for a pass over ``n`` vertices: after
-#: ``r`` rounds every distance is at least ``-r * max |w|``, and half of
-#: int64 leaves room for the ``2n + 1`` rounds a pass may run.
-WEIGHT_LIMIT = 1 << 62
+#: First Bellman–Ford round that looks for a predecessor-graph cycle. Most
+#: passes settle before it, and a look costs about as much as a round.
+FIRST_CYCLE_CHECK = 16
 
-
-def circulation_edges(aux: AuxGraph, cost_sign: int) -> np.ndarray:
-    """Mask of the ``aux`` edges a circulation of the ratio search can use.
-
-    The other-sign wraps are closed, so they are dropped first; of the
-    rest, an edge can lie on a cycle only when its tail and head lie in one
-    strongly connected component (every circulation splits into cycles,
-    and a cycle never leaves its component).
-    """
-    h = aux.graph
-    usable = (aux.wrap_cost * cost_sign) >= 0
-    tail, head = h.tail[usable], h.head[usable]
-    # CSR built directly: scipy's COO conversion cost 3x the SCC pass itself.
-    # Parallel edges must then be merged by hand: scipy's strong-component
-    # pass never returns on a CSR row with a duplicate entry.
-    indptr = np.zeros(h.n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(tail, minlength=h.n), out=indptr[1:])
-    adjacency = sp.csr_array(
-        (np.ones(len(tail)), head[np.argsort(tail, kind="stable")].astype(np.int32), indptr),
-        shape=(h.n, h.n),
-    )
-    adjacency.sum_duplicates()
-    _, component = connected_components(adjacency, directed=True, connection="strong")
-    return usable & (component[h.tail] == component[h.head])
+#: Distance of a vertex the potential pass never reaches.
+UNREACHED = np.iinfo(np.int64).max
 
 
 def _predecessor_cycles(n: int, tail: np.ndarray, pred: np.ndarray) -> list[list[int]]:
@@ -150,125 +128,134 @@ def _predecessor_cycles(n: int, tail: np.ndarray, pred: np.ndarray) -> list[list
 
 
 def _negative_cycles(
-    n: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray
-) -> list[list[int]]:
-    """Negative cycles of the graph ``(tail, head)`` under ``w``; ``[]`` if none.
+    sources: np.ndarray, n: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray
+) -> tuple[list[list[int]], np.ndarray]:
+    """Negative cycles reachable from ``sources`` in the graph
+    ``(tail, head)`` over ``n`` vertices under ``w``, with the distances
+    reached; ``([], potentials)`` when there is none.
 
-    Synchronous Bellman–Ford from a virtual source (every distance starts
-    at 0) that relaxes only the edges whose tail improved in the previous
-    round, and returns the predecessor-graph cycles as soon as there are
-    any. The caller bounds ``w`` first (:data:`WEIGHT_LIMIT`); a traced
-    cycle that is not negative raises :class:`SolverError` (corrupt
-    state).
+    Synchronous Bellman–Ford from ``sources`` (at distance 0) that relaxes
+    only the out-edges of the vertices improved in the previous round, and
+    returns the predecessor-graph cycles as soon as there are any. It
+    looks for them after round :data:`FIRST_CYCLE_CHECK`, each later power
+    of two and every round from ``n`` on. Vertices it never reaches keep
+    :data:`UNREACHED`. The caller bounds ``w`` first (:data:`EXACT_LIMIT`);
+    a traced cycle that is not negative raises :class:`SolverError`
+    (corrupt state). Counts its rounds in ``search.ratio.potential_rounds``.
     """
-    dist = np.zeros(n, dtype=np.int64)
+    dist = np.full(n, UNREACHED, dtype=np.int64)
+    dist[sources] = 0
     pred = np.full(n, -1, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
+    active = np.zeros(n, dtype=bool)
+    active[sources] = True
     for rnd in range(1, 2 * n + 2):
         es = np.flatnonzero(active[tail])
         cand = dist[tail[es]] + w[es]
         hd = head[es]
         better = cand < dist[hd]
         if not better.any():
-            return []
+            obs.add("search.ratio.potential_rounds", rnd)
+            return [], dist
         es, cand, hd = es[better], cand[better], hd[better]
         np.minimum.at(dist, hd, cand)
         won = cand == dist[hd]
         pred[hd[won]] = es[won]
-        active[:] = False
-        active[hd] = True
         # An improvement in round n needs a walk of n edges, so a negative
         # cycle exists: from then on, look for it every round.
-        if rnd % CYCLE_CHECK_ROUNDS == 0 or rnd >= n:
+        if (rnd >= FIRST_CYCLE_CHECK and rnd & (rnd - 1) == 0) or rnd >= n:
             cycles = _predecessor_cycles(n, tail, pred)
             if cycles:
                 for cyc in cycles:
                     if int(w[cyc].sum()) >= 0:
                         raise SolverError("traced a non-negative cycle — corrupt state")
-                return cycles
+                obs.add("search.ratio.potential_rounds", rnd)
+                return cycles, dist
+        active[:] = False
+        active[hd] = True
     raise SolverError("Bellman–Ford kept improving without closing a cycle")
 
 
-def min_ratio_cycle(
-    aux: AuxGraph, cost_sign: int, start: tuple[int, int] | None = None
-) -> list[int] | None:
-    """An optimal cycle of ``aux`` for one cost sign, as ``aux`` edge ids.
+def min_ratio_cycles(
+    aux: AuxGraph, anchors: list[int], c_max: int
+) -> dict[int, list[int]]:
+    """Per cost sign, an optimal one-wrap cycle of ``aux``, as ``aux`` edge ids.
 
-    ``cost_sign`` selects the wrap family (+1: residual cycles of positive
-    cost; -1: negative cost). Returns a cycle minimising ``d(C)/W(C)``
-    over the :func:`circulation_edges`, or a cost-0 negative-delay cycle
-    when one exists (it beats every ratio), or ``None`` when no cycle of
-    that sign exists within radius ``B``. The method and why it is exact:
-    the module docstring.
+    Admits the wraps whose head lies at an ``anchors`` base vertex and
+    whose ``|wrap_cost|`` is at most ``c_max``. Maps +1 (residual walks of
+    positive cost) and -1 (negative cost) to a cycle of least
+    ``d(P)/|wrap_cost|``: a shortest non-wrap path ``P`` from an admitted
+    wrap's head to its tail, closed by that wrap. A sign without such a
+    cycle is absent. When the non-wrap edges reachable from the heads of
+    the anchors' wraps hold a negative cycle (cost 0, negative delay),
+    both signs map to it instead. The method, and what Theorem 16 makes of
+    the answer: the module docstring.
 
-    ``start = (p, q)``, ``q > 0``, is for the doubling sweep only
-    (:func:`repro.core.search._sweep`): the ratio of a cycle known to lie
-    in ``aux``, namely the optimum of the same sign at a lower radius,
-    which survives because ``H(B)`` embeds in ``H(B')`` for ``B' >= B``
-    (base vertex, cost level, ``d`` and ``W`` of every edge kept). The
-    first pass then runs under ``q*d - p*W`` instead of ``d - M*W``. If it
-    finds no negative cycle, its potentials certify ``p/q`` as still
-    optimal (step 3 of the module docstring) and the answer is ``[]``:
-    the start cycle stands and nothing new is returned. Otherwise the
-    Newton steps go on from there, and a cost-0 cycle is still returned
-    at once.
-
-    Telemetry: ``search.ratio.skipped`` when no chosen-sign wrap survives
-    the mask (no pass runs, no span opens); otherwise a
-    ``search.ratio_cycle`` span, ``search.ratio.zero_cost_cycles`` when a
-    cost-0 cycle answers, ``search.ratio.newton_steps`` for the passes
-    after the first, and with a ``start`` ``search.ratio.carried`` (and
-    ``search.ratio.carried_unchanged`` when the answer is ``[]``). Checks
-    the ambient budget before every pass; a trip raises
+    Telemetry: a ``search.ratio_cycle`` span,
+    ``search.ratio.potential_rounds`` (the potential pass's Bellman–Ford
+    rounds) and ``search.ratio.zero_cost_cycles`` when a cost-0 cycle
+    answers. Checks the ambient budget first; a trip raises
     :class:`~repro.errors.BudgetExhaustedError`.
     """
-    keep = circulation_edges(aux, cost_sign)
-    chosen = keep & ((aux.wrap_cost * cost_sign) > 0)
-    if not chosen.any():
-        obs.inc("search.ratio.skipped")
-        return None
     with obs.span("search.ratio_cycle"):
+        checkpoint("search.ratio_cycle")
         h = aux.graph
-        eids = np.flatnonzero(keep)
-        nodes, local = np.unique(
-            np.concatenate([h.tail[eids], h.head[eids]]), return_inverse=True
-        )
-        n = len(nodes)
-        tail, head = local[: len(eids)], local[len(eids) :]
-        d = h.delay[eids].astype(np.int64)
-        big_w = np.where(chosen[eids], np.abs(aux.wrap_cost[eids]), 0).astype(np.int64)
-        d_max, w_max = int(np.abs(d).max(initial=0)), int(big_w.max())
+        is_anchor = np.zeros(aux.n_base, dtype=bool)
+        is_anchor[anchors] = True
+        wraps = np.flatnonzero((aux.orig_eid < 0) & is_anchor[h.head // aux.n_layers])
+        if not len(wraps):
+            return {}
+        sources, row = np.unique(h.head[wraps], return_inverse=True)
+        flow = np.flatnonzero(aux.orig_eid >= 0)
+        # Parallel edges merged to the least delay (scipy would sum them),
+        # then sorted by (tail, head) for the CSR.
+        key = h.tail[flow] * h.n + h.head[flow]
+        order = np.lexsort((h.delay[flow], key))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = key[order[1:]] != key[order[:-1]]
+        flow, key = flow[order[first]], key[order[first]]
+        tail, head, d = h.tail[flow], h.head[flow], h.delay[flow]
+        if 2 * h.n * int(np.abs(d).max(initial=0)) >= EXACT_LIMIT:
+            raise SolverError("ratio search delays reach 2^53 / 2n; float64 would round them")
+        # Only what the sources reach is searched: Dijkstra sees nothing
+        # else, and a cost-0 cycle through an anchor, whose running cost
+        # from there stays within the layers, passes that anchor's (v, 0).
+        cycles, pi = _negative_cycles(sources, h.n, tail, head, d)
+        if cycles:
+            obs.inc("search.ratio.zero_cost_cycles")
+            best = flow[min(cycles, key=lambda c: int(d[c].sum()))].tolist()
+            return {+1: best, -1: best}
 
-        if start is None:
-            p, q = int(np.abs(d).sum()) + 1, 1
-        else:
-            p, q = start
-            obs.inc("search.ratio.carried")
-        best, passes = None, 0
-        while True:
-            checkpoint("search.ratio_cycle")
-            bound = q * d_max + abs(p) * w_max
-            if (n + 1) * bound >= WEIGHT_LIMIT:
-                raise SolverError(f"ratio search weights reach {bound}; int64 would overflow")
-            cycles = _negative_cycles(n, tail, head, q * d - p * big_w)
-            passes += 1
-            if not cycles:
-                break
-            totals = [(int(d[c].sum()), int(big_w[c].sum()), c) for c in cycles]
-            zero_cost = [t for t in totals if t[1] == 0]
-            if zero_cost:
-                obs.inc("search.ratio.zero_cost_cycles")
-                best = min(zero_cost, key=lambda t: t[0])
-                break
-            best = min(totals, key=lambda t: Fraction(t[0], t[1]))
-            p, q = best[0], best[1]
-        obs.add("search.ratio.newton_steps", passes - 1)
-        if best is None:
-            if start is None:
-                raise SolverError("no cycle through a kept chosen-sign wrap")
-            obs.inc("search.ratio.carried_unchanged")
-            return []
-        return eids[best[2]].tolist()
+        reached = pi[tail] != UNREACHED
+        flow, key, tail, head, d = flow[reached], key[reached], tail[reached], head[reached], d[reached]
+        # The CSR is built directly, rows sorted by tail, not through COO.
+        indptr = np.zeros(h.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail, minlength=h.n), out=indptr[1:])
+        reduced = (d + pi[tail] - pi[head]).astype(np.float64)
+        csr = sp.csr_array((reduced, head, indptr), shape=(h.n, h.n))
+        dist, pred = dijkstra(csr, indices=sources, return_predecessors=True)
+
+        ok = (np.abs(aux.wrap_cost[wraps]) <= c_max) & np.isfinite(dist[row, h.tail[wraps]])
+        wraps, row, ends = wraps[ok], row[ok], h.tail[wraps[ok]]
+        # The exact delay: the reduced length corrected by both potentials.
+        delay = dist[row, ends].astype(np.int64) + pi[ends] - pi[sources[row]] + h.delay[wraps]
+        c0 = np.abs(aux.wrap_cost[wraps])
+        ratio = delay / c0
+        out: dict[int, list[int]] = {}
+        for sign in (+1, -1):
+            mine = np.flatnonzero(aux.wrap_cost[wraps] * sign > 0)
+            if not len(mine):
+                continue
+            # Float division is monotone, so every exact optimum has the
+            # least float ratio; Fractions settle the ties.
+            tied = mine[ratio[mine] == ratio[mine].min()].tolist()
+            i = min(tied, key=lambda j: Fraction(int(delay[j]), int(c0[j])))
+            nodes = [int(ends[i])]
+            while nodes[-1] != sources[row[i]]:
+                nodes.append(int(pred[row[i], nodes[-1]]))
+            steps = np.asarray(nodes[:0:-1]) * h.n + np.asarray(nodes[-2::-1])
+            path = flow[np.searchsorted(key, steps)]
+            out[sign] = path.tolist() + [int(wraps[i])]
+        return out
 
 
 def peel_fractional_cycles(

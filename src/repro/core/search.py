@@ -8,18 +8,22 @@ Combines the cheap single-criterion probes with the layered-graph machinery:
    (no auxiliary graph is ever built).
 2. **Layered sweep** — for ``B`` doubling up to ``sum |c(e)|`` (the largest
    possible running-cost spread of any simple residual cycle), build the
-   shifted auxiliary graph and find an exact minimum-ratio cycle
-   (:func:`repro.core.auxlp.min_ratio_cycle`) for both cost signs,
-   accumulating candidates. Each sign's search starts from its optimum at
-   the level below, and a (level, sign) whose residual restriction has no
-   cycle of that sign is skipped (:func:`_sweep`). The sweep stops early
-   once a type-0 candidate appears; otherwise all candidates are returned
-   for rate-based selection by the cancellation loop.
+   shifted auxiliary graph and find, for both cost signs, the cycle of
+   least delay per unit cost that passes through one wrap at an anchor
+   (:func:`reversed_edge_anchors`) and costs at most ``min(B, cost_cap)``
+   (:func:`repro.core.auxlp.min_ratio_cycles`), accumulating candidates. A
+   (level, sign) whose residual restriction has no cycle of that sign is
+   skipped (:func:`_sweep`). The sweep stops early once a type-0 candidate
+   appears; otherwise all candidates are returned for rate-based selection
+   by the cancellation loop.
 
 Correctness: every residual cycle has running-cost spread at most
-``sum |c|``, so it is representable in the final sweep step; Theorem 16
-then guarantees a bicameral cycle is among the released candidates whenever
-one exists.
+``sum |c|``, so it is representable from each of its vertices in the final
+sweep step, and every cycle of interest passes through an anchor. Each
+cycle the search returns is a simple cycle of Algorithm 2's ``H_v^+(B)``
+or ``H_v^-(B)``, over which Theorem 16 argues; the :mod:`repro.core.auxlp`
+docstring says what the guarantee gives once the cycle's residual walk is
+split.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.core.auxgraph import build_aux_shifted
 from repro.core.auxlp import (
     candidates_from_circulation,
     candidates_from_cycles,
-    min_ratio_cycle,
+    min_ratio_cycles,
 )
 from repro.core.bicameral import CandidateCycle, CycleType, classify
 from repro.core.cycle_decompose import split_closed_walk
@@ -147,7 +151,8 @@ def _level_test(g: DiGraph) -> Callable[[int, int], bool]:
 
 
 def _sweep(
-    g: DiGraph,
+    residual: ResidualGraph,
+    cost_cap: int | None,
     candidates: list[CandidateCycle],
     b: int,
     b_max: int,
@@ -157,71 +162,58 @@ def _sweep(
 ) -> Iterator[tuple[int, int]]:
     """The doubling sweep over ``H(B)`` shared by both production finders.
 
-    For ``B = b, 2b, ...`` up to ``b_max`` and each cost sign (+1 first),
-    searches an optimal cycle of ``H(B)``, appends the residual cycles it
-    releases to ``candidates`` (deduplicated), and yields ``(B, sign)``, so
+    For ``B = b, 2b, ...`` up to ``b_max``, searches ``H(B)`` once for both
+    cost signs (:func:`~repro.core.auxlp.min_ratio_cycles` from the
+    :func:`reversed_edge_anchors`, wraps of cost at most
+    ``min(B, cost_cap)``), then for each sign (+1 first) appends
+    the residual cycles its optimum releases to ``candidates``
+    (deduplicated) and yields ``(B, sign)``, so
     the caller can judge the candidates after every (level, sign) and stop
     the sweep by leaving the loop. ``sites`` name the meter's node-charge
-    and deadline-check sites. Two exact shortcuts leave the released
-    candidates as a plain sweep would have them, up to ties:
+    and deadline-check sites.
 
-    * **Carried optimum.** ``H(B)`` embeds in ``H(B')`` for ``B' >= B``:
-      node ``(v, l)`` stays ``(v, l)`` (``|l| <= B <= B'``), a residual
-      edge's copy at layer ``l`` stays admissible, and a wrap of cost
-      ``c0 <= B`` is still a wrap; delays and wrap costs are kept. So the
-      sign's optimal cycle at the last searched level is still a cycle
-      of the new one, with the same ratio ``p/q``, and its search starts
-      there (:func:`~repro.core.auxlp.min_ratio_cycle`'s ``start``). When
-      no cycle beats ``p/q`` it answers ``[]``: the optimum is unchanged,
-      its cycle was released at the lower level, and nothing new is
-      released.
-    * **Residual rule-out.** A cycle of ``H(B)`` through a wrap of sign
-      ``s`` (the ratio search closes the other sign's wraps) projects,
-      wraps dropped, to a closed residual walk whose cost is the sum of
-      its wrap costs, so ``s * cost > 0``, and which uses only residual
-      edges with ``|c| <= 2B`` (no other edge has a copy in ``H(B)``).
-      Such a walk splits into simple cycles, one of them with
-      ``s * cost > 0``. So when the residual restricted to ``|c| <= 2B``
-      has no such cycle (:func:`_level_test`), the search of that
-      (level, sign) would find nothing and is skipped
-      (``search.ratio.level_skips``); ``H(B)`` is built only for a sign
-      that is not ruled out. The restriction only grows with ``B``, so
-      once a sign passes the test it is not tested again in this sweep.
+    **Residual rule-out.** A one-wrap cycle of ``H(B)`` through a wrap of
+    sign ``s`` projects, wrap dropped, to a closed residual walk whose cost
+    is that wrap's, so ``s * cost > 0``, and which uses only residual edges
+    with ``|c| <= 2B`` (no other edge has a copy in ``H(B)``). Such a walk
+    splits into simple cycles, one of them with ``s * cost > 0``. So when
+    the residual restricted to ``|c| <= 2B`` has no such cycle
+    (:func:`_level_test`), that (level, sign) holds nothing to release and
+    is skipped (``search.ratio.level_skips``); a level whose two signs are
+    both ruled out builds no ``H(B)``. The restriction only grows with
+    ``B``, so once a sign passes the test it is not tested again in this
+    sweep.
 
     ``stats.lp_solves`` counts every (level, sign) step and
     ``stats.b_values`` every level, searched or ruled out.
     """
     charge_site, check_site = sites
+    g, anchors = residual.graph, reversed_edge_anchors(residual)
     seen = set(tuple(sorted(c.edges)) for c in candidates)
     has_signed_cycle = _level_test(g)
-    carried: dict[int, tuple[int, int] | None] = {+1: None, -1: None}
     open_sign = {+1: False, -1: False}
     while True:
         stats.b_values.append(b)
-        aux = None
         for sign in (+1, -1):
             open_sign[sign] = open_sign[sign] or has_signed_cycle(b, sign)
+        cycles: dict[int, list[int]] = {}
+        if open_sign[+1] or open_sign[-1]:
+            aux = build_aux_shifted(g, b)
+            stats.aux_nodes_built += aux.graph.n
+            stats.aux_edges_built += aux.graph.m
+            if meter is not None:
+                meter.charge_search_nodes(aux.graph.n, charge_site)
+                meter.check(check_site)
+            cycles = min_ratio_cycles(aux, anchors, b if cost_cap is None else min(b, cost_cap))
+        for sign in (+1, -1):
             if not open_sign[sign]:
                 obs.inc("search.ratio.level_skips")
-            else:
-                if aux is None:
-                    aux = build_aux_shifted(g, b)
-                    stats.aux_nodes_built += aux.graph.n
-                    stats.aux_edges_built += aux.graph.m
-                    if meter is not None:
-                        meter.charge_search_nodes(aux.graph.n, charge_site)
-                if meter is not None:
-                    meter.check(check_site)
-                cyc = min_ratio_cycle(aux, sign, start=carried[sign])
-                if cyc:
-                    # A cost-0 cycle (no wrap) has no ratio to carry.
-                    w = int(np.abs(aux.wrap_cost[cyc]).sum())
-                    carried[sign] = (int(aux.graph.delay[cyc].sum()), w) if w else None
-                    for cand in candidates_from_cycles(aux, g, [cyc]):
-                        key = tuple(sorted(cand.edges))
-                        if key not in seen:
-                            seen.add(key)
-                            candidates.append(cand)
+            elif sign in cycles:
+                for cand in candidates_from_cycles(aux, g, [cycles[sign]]):
+                    key = tuple(sorted(cand.edges))
+                    if key not in seen:
+                        seen.add(key)
+                        candidates.append(cand)
             stats.lp_solves += 1
             yield b, sign
         if b >= b_max:
@@ -348,11 +340,11 @@ def find_bicameral_cycle(
         b = min(b, b_max)
 
         # Positive-cost cycles (type-1 material) are what a delay-infeasible
-        # iteration almost always needs; the sweep searches the negative
-        # sign only when the positive one did not already yield an
-        # accepted pick.
+        # iteration almost always needs; the sweep releases the negative
+        # sign's cycles only when the positive one did not already yield
+        # an accepted pick.
         for radius, _sign in _sweep(
-            g, candidates, b, b_max, stats, meter,
+            residual, cost_cap, candidates, b, b_max, stats, meter,
             ("search.sweep", "search.ratio_cycle"),
         ):
             pick = certified(delta_c_estimate) or soft_pick_if_scale_covered(radius)
@@ -407,7 +399,7 @@ def find_bicameral_candidates(
             return candidates
 
         for _radius, sign in _sweep(
-            g, candidates, 1, _sweep_top(g, b_max), stats, meter,
+            residual, None, candidates, 1, _sweep_top(g, b_max), stats, meter,
             ("search.candidates_full", "search.candidates_full.ratio"),
         ):
             if sign < 0 and _has_type0(candidates):
@@ -418,10 +410,15 @@ def find_bicameral_candidates(
 
 
 def reversed_edge_anchors(residual: ResidualGraph) -> list[int]:
-    """Anchor vertices for the literal per-vertex search: heads of reversed
-    edges. Every cycle with negative delay (or negative cost) contains a
-    reversed edge — all input-graph weights are nonnegative — so anchoring
-    at their heads loses nothing."""
+    """Anchor vertices of the one-wrap searches: the heads and the tails of
+    the reversed residual edges, sorted.
+
+    They lose no cycle of interest. A bicameral cycle has negative delay
+    (types 1 and 0) or negative cost (types 2 and 0), but forward residual
+    edges keep the input's nonnegative weights, so it holds a reversed
+    edge and both its endpoints. A cycle of running-cost spread at most
+    ``B`` is representable in ``H(B)`` from each of its vertices, so from
+    an anchor."""
     g = residual.graph
     rev = np.nonzero(residual.reversed_mask)[0]
     return sorted(set(int(g.head[e]) for e in rev) | set(int(g.tail[e]) for e in rev))

@@ -255,9 +255,10 @@ class LPEngine:
         ``min d.x`` over circulations of ``aux.graph`` whose wraps of the
         chosen sign carry total ``|wrap cost|`` mass 1; wraps of the other
         sign are closed (upper bound 0), every other edge capped at
-        ``MASS_CAP``. No solver path calls it: it is the test oracle of
-        :func:`repro.core.auxlp.min_ratio_cycle`, which has the same
-        optimum.
+        ``MASS_CAP``. No solver path calls it. Its optimum may use
+        several wraps at once, so it can lie below the one-wrap optimum
+        of :func:`repro.core.auxlp.min_ratio_cycles`, which the solver
+        uses instead.
         """
         from repro.core.auxlp import MASS_CAP  # late: avoid an import cycle
 

@@ -76,6 +76,7 @@ from repro.robustness.journal import (
     JournalWriter,
     instance_config_hash,
 )
+from repro.robustness.anytime import STATUS_OK
 from repro.robustness.signals import GracefulShutdown
 
 
@@ -506,12 +507,16 @@ def _resume_inner(
         )
     else:
         # Completed journal: every record replayed and verified above;
-        # revalidate the stored answer and return it without solving.
+        # revalidate the stored answer against the replay and return it
+        # without solving. An exhausted run answers with its best so far.
         fin_sol = inst.path_set([list(p) for p in final["paths"]])
         if fin_sol.cost != int(final["cost"]) or fin_sol.delay != int(final["delay"]):
             raise JournalError(
                 "final record totals do not match its recorded paths"
             )
+        replayed = resume_state.solution if final.get("status") == STATUS_OK else resume_state.best
+        if sorted(fin_sol.edge_ids) != sorted(replayed.edge_ids):
+            raise JournalError("final record paths differ from the replayed solution")
         result = CancellationResult(solution=fin_sol, records=resume_state.records)
     sol_out = assemble_solution(
         g,

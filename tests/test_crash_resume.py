@@ -230,6 +230,27 @@ def test_completed_journal_with_tampered_iteration_rejected(tmp_path, golden):
         resume_krsp(path)
 
 
+def test_completed_journal_with_tampered_final_rejected(tmp_path):
+    """A final record rewritten (valid CRC, matching totals) to the
+    prelude's phase-1 paths, which miss D, must not resume as "ok"."""
+    raw = GOLDEN_FIXTURE.read_bytes()
+    records = read_journal_bytes(raw)
+    kinds = [r["kind"] for r in records]
+    p1_paths = records[kinds.index("prelude")]["p1_paths"]
+    g, s, t, k, bound = _instance()
+    flat = [e for p in p1_paths for e in p]
+    assert g.delay_of(flat) > bound
+
+    def to_phase1(payload):
+        payload["paths"] = p1_paths
+        payload["cost"], payload["delay"] = g.cost_of(flat), g.delay_of(flat)
+
+    path = tmp_path / "tampered_final.journal"
+    path.write_bytes(_rewrite_record(raw, kinds.index("final"), to_phase1))
+    with pytest.raises(JournalError, match="replayed solution"):
+        resume_krsp(path)
+
+
 def test_header_seal_mismatch_rejected(tmp_path, golden):
     def retarget(payload):
         payload["instance"]["k"] = payload["instance"]["k"] + 1  # stale seal

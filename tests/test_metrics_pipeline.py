@@ -150,8 +150,8 @@ class TestHistogram:
 
 class TestPrometheusRoundTrip:
     def test_metric_name_sanitization(self):
-        assert metric_name("search.ratio.newton_steps", suffix="_total") == \
-            "repro_search_ratio_newton_steps_total"
+        assert metric_name("search.ratio.potential_rounds", suffix="_total") == \
+            "repro_search_ratio_potential_rounds_total"
         assert metric_name("krsp.solve", suffix="_seconds") == \
             "repro_krsp_solve_seconds"
 

@@ -86,24 +86,21 @@ def test_lemma3_soft_cap_admits_too_costly_type1_cycle():
     assert sol.cost <= 2 * exact.cost
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InfeasibleInstanceError,
-    reason=(
-        "Algorithm 1 step 2(a) with the exact optimum: from the start path "
-        "(cost 6, delay 14) the residual holds no bicameral cycle under "
-        "opt_cost = C_OPT = 31, although the instance is feasible; without "
-        "opt_cost the answer costs 57"
-    ),
+@pytest.mark.parametrize(
+    "seed, n, D, opt",
+    [(92, 10, 10, (31, 10)), (35505, 12, 22, (27, 16))],
 )
-def test_exact_opt_cost_finds_no_bicameral_cycle():
-    """A draw of ``test_lemma3_bifactor_1_2`` (seed 92, k=1, D=10) that
-    contradicts "``G >= C_OPT`` always finds a bicameral cycle"."""
-    g = _random_instance(92)
-    exact = solve_krsp_milp(g, 0, 9, 1, 10)
-    assert (exact.cost, exact.delay) == (31, 10)
-    sol = solve_krsp(g, 0, 9, 1, 10, phase1="minsum", opt_cost=exact.cost)
-    assert sol.delay <= 10
+def test_exact_opt_cost_finds_no_bicameral_cycle(seed, n, D, opt):
+    """Draws of ``test_lemma3_bifactor_1_2``'s distribution (k=1, s=0,
+    t=n-1) where, with ``opt_cost = C_OPT``, the search once returned
+    only walks through several wraps that cost more than ``B``, found no
+    bicameral cycle and declared the feasible instance infeasible."""
+    g = _random_instance(seed, n=n)
+    exact = solve_krsp_milp(g, 0, n - 1, 1, D)
+    assert (exact.cost, exact.delay) == opt
+    sol = solve_krsp(g, 0, n - 1, 1, D, phase1="minsum", opt_cost=exact.cost)
+    check_disjoint_paths(g, sol.paths, 0, n - 1, k=1)
+    assert sol.delay <= D
     assert sol.cost <= 2 * exact.cost
 
 
