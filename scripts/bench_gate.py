@@ -31,6 +31,10 @@ hardware):
   warm churn replay (``kernel_online_warm``), whose bound refreshes run
   the same walk from the session's last multiplier. (This replaced an E5
   ``lp.pivots`` ceiling that passed at 0 once the ratio search left HiGHS.)
+* **Min-cost flow gate** — the full solves (E7, E10 stress) and the E10
+  warm churn replay are held to their ``mincost.augmentations`` counts, so
+  a change that adds a min-cost k-flow to the solve (a second gate flow,
+  a flow solved twice) fails in every mode.
 * **Ratio search gate** — the one-wrap ratio search
   (:func:`repro.core.auxlp.min_ratio_cycles`) is held to a deterministic
   ``search.ratio.potential_rounds`` ceiling on the E5 cancellation kernel,
@@ -88,6 +92,14 @@ SPEEDUP_FLOORS = {
 FLOW_LP_CEILINGS = {
     "e7_solver": 0,
     "e10_online_warm": 0,
+}
+# Deterministic min-cost flow ceilings per kernel: the augmentation counts
+# once a solve whose cheapest k-flow meets D runs that flow alone and
+# hands every gate flow on (each k-flow is k augmentations).
+MINCOST_AUGMENTATION_CEILINGS = {
+    "e7_solver": 48,
+    "e10_stress": 24,
+    "e10_online_warm": 66,
 }
 # Deterministic potential-pass ceilings per kernel: the E5 measurement of
 # the one-wrap search's Bellman–Ford rounds (1,683) plus 5%.
@@ -385,14 +397,16 @@ def run_gate(args) -> int:
                     )
         print(line)
 
-    # -- deterministic counter ceilings: flow-LP solves, potential-pass
-    # rounds and aux-graph edges
+    # -- deterministic counter ceilings: flow-LP solves, min-cost flow
+    # augmentations, potential-pass rounds and aux-graph edges
     kernel_counters = {
         name: entry["counters"] for name, entry in report["kernels"].items()
     }
     kernel_counters["e10_online_warm"] = _counters_of(kernel_online_warm)
     for block, key, counter, ceilings in (
         ("flow_lp", "solves", "lp.flow_lp.solves", FLOW_LP_CEILINGS),
+        ("mincost", "augmentations", "mincost.augmentations",
+         MINCOST_AUGMENTATION_CEILINGS),
         ("ratio_search", "potential_rounds", "search.ratio.potential_rounds",
          POTENTIAL_ROUND_CEILINGS),
         ("aux_graph", "aux_edges", "search.aux_edges", AUX_EDGE_CEILINGS),

@@ -2,13 +2,17 @@
 
 :func:`solve_krsp` wires the whole pipeline together:
 
-1. exact feasibility: the min-delay ``k``-flow, which is absent when fewer
-   than ``k`` disjoint paths exist and misses ``D`` when no solution does;
+1. exact feasibility: the least-delay min-cost ``k``-flow, which is absent
+   when fewer than ``k`` disjoint paths exist and is optimal when it meets
+   ``D``; only when it misses ``D`` the min-delay ``k``-flow, which misses
+   ``D`` too when no solution exists;
 2. optional Theorem-4 epsilon-scaling (polynomial mode), its cost grid set
    by the exact flow-LP optimum ``C_LP``;
 3. a phase-1 provider (Lemma 5 from exact Lagrangian k-flows by default —
-   the paper's Algorithm 1 step 1, without an LP);
-4. the bicameral cycle-cancellation loop (Algorithm 1 step 2).
+   the paper's Algorithm 1 step 1, without an LP), handed the flows step 1
+   solved;
+4. the bicameral cycle-cancellation loop (Algorithm 1 step 2), its cost
+   cap the cost of the delay-feasible flow step 1 holds.
 
 The returned :class:`KRSPSolution` carries the paths, exact totals, the
 certified cost lower bound, and full per-iteration instrumentation.
@@ -37,6 +41,7 @@ from repro.core.phase1 import (
     PROVIDERS,
     KFlow,
     Phase1Result,
+    cheapest_flow,
     fastest_flow,
     flow_lp_bound,
 )
@@ -49,7 +54,8 @@ from repro.errors import (
 )
 # Bound here for layer tracers (perfbench/tracer.py) that wrap this
 # module's flow calls. The solve calls neither: min_cost_k_flow is reached
-# through phase 1's fastest_flow, which also rejects fewer than k paths.
+# through phase 1's cheapest_flow, which also rejects fewer than k paths,
+# and fastest_flow.
 from repro.flow.maxflow import has_k_disjoint_paths  # noqa: F401
 from repro.flow.mincost import min_cost_k_flow  # noqa: F401
 from repro.flow.decompose import decompose_flow, strip_improving_cycles
@@ -135,24 +141,35 @@ class KRSPSolution:
     multiplier: Fraction | None = None
 
 
-def _cost_cap_upper_bound(
-    inst: KRSPInstance, fastest: KFlow
-) -> tuple[int, list[list[int]]] | None:
-    """Cheapest delay-feasible flow: a certified C_OPT upper bound.
+def _feasibility_gate(inst: KRSPInstance) -> tuple[KFlow, KFlow | None]:
+    """Exact feasibility: ``(cheapest, fastest)``.
 
-    ``fastest`` is the instance's min-delay flow (cost tie-broken); if even
-    that flow misses the budget the instance is infeasible and the caller
-    will discover it, so return ``None`` (cap disabled). Returns
-    ``(cost, paths)`` — the witnessing paths double as the anytime layer's
-    preferred degraded answer (delay-feasible by construction).
+    ``cheapest`` is the least-delay min-cost ``k``-flow; solving it raises
+    :class:`InfeasibleInstanceError` when fewer than ``k`` edge-disjoint
+    paths exist. When it meets ``D`` it is optimal, no min-delay flow is
+    needed and ``fastest`` is ``None``. Otherwise ``fastest`` is the
+    min-delay flow (cost tie-broken); if even it misses ``D`` no solution
+    exists. The delay-feasible flow the gate holds, ``fastest`` when
+    solved and else ``cheapest``, has a cost that bounds ``C_OPT`` from
+    above (equal to it when that flow is ``cheapest``).
     """
-    g = inst.graph
-    eids = np.nonzero(fastest.used)[0]
-    paths, _ = decompose_flow(g, eids, inst.s, inst.t)
-    flat = [e for p in paths for e in p]
-    if g.delay_of(flat) > inst.delay_bound:
-        return None
-    return g.cost_of(flat), paths
+    cheapest = cheapest_flow(inst)
+    if cheapest.delay <= inst.delay_bound:
+        return cheapest, None
+    fastest = fastest_flow(inst)
+    if fastest.delay > inst.delay_bound:
+        raise InfeasibleInstanceError(
+            f"minimum achievable total delay {fastest.delay} "
+            f"exceeds the budget {inst.delay_bound}"
+        )
+    return cheapest, fastest
+
+
+def _flow_paths(g: DiGraph, s: int, t: int, f: KFlow) -> list[list[int]]:
+    """The paths of flow ``f``, built only for a journal or a budget trip."""
+    paths, cycles = decompose_flow(g, np.flatnonzero(f.used), s, t)
+    strip_improving_cycles(g, paths, cycles)
+    return paths
 
 
 def solve_krsp(
@@ -202,7 +219,9 @@ def solve_krsp(
         instead of raising. Structural/budget infeasibility still raises
         (there is no valid answer to degrade to). The feasibility gate is
         mandatory work, so a budgeted solve always has at least the
-        minimum-delay flow to fall back on.
+        delay-feasible flow the gate holds to fall back on: the
+        least-delay min-cost flow when it meets ``D``, else the
+        minimum-delay flow.
     checkpoint_hook:
         Crash-safety seam
         (:class:`repro.robustness.checkpointing.CheckpointHook`): writes
@@ -216,9 +235,10 @@ def solve_krsp(
     ------
     InfeasibleInstanceError
         When no ``k`` disjoint delay-feasible paths exist. The first step
-        decides this exactly with one min-delay ``k``-flow: the flow is
-        absent when fewer than ``k`` edge-disjoint paths exist, and its
-        delay exceeds ``delay_bound`` when no solution meets the budget.
+        decides this exactly with at most two ``k``-flows: the min-cost
+        flow is absent when fewer than ``k`` edge-disjoint paths exist,
+        and when it misses ``delay_bound`` the min-delay flow's delay
+        exceeds it too exactly when no solution meets the budget.
     InputError
         When ``phase1`` names no provider.
     """
@@ -275,26 +295,16 @@ def _solve_krsp_impl(
     inst = KRSPInstance(graph=g, s=s, t=t, k=k, delay_bound=delay_bound)
 
     with timer.section("feasibility"):
-        # Exact feasibility oracle: the minimum total delay over k disjoint
-        # paths is a plain min-cost-flow problem under the delay weight. The
-        # flow raises when fewer than k edge-disjoint paths exist; if its
-        # delay exceeds D, no solution exists and the cancellation loop
-        # must never start. The flow is cost tie-broken, so the cost cap and
-        # the Lagrangian phase 1 reuse it.
-        min_delay_flow = fastest_flow(inst)
-        if min_delay_flow.delay > delay_bound:
-            raise InfeasibleInstanceError(
-                f"minimum achievable total delay {min_delay_flow.delay} "
-                f"exceeds the budget {delay_bound}"
-            )
+        # Infeasible instances must never reach the cancellation loop. The
+        # gate's flows are handed on, so no flow is solved twice.
+        cheapest, fastest = _feasibility_gate(inst)
 
     work_inst = inst
-    work_fastest = min_delay_flow
+    work_cheapest, work_fastest = cheapest, fastest
     scaled = False
     lower_bound: Fraction | None = None
     c_lp: Fraction | None = None
     p1: Phase1Result | None = None
-    cap_paths: list[list[int]] | None = None
     result: CancellationResult | None = None
     exhausted: str | None = None
 
@@ -310,18 +320,23 @@ def _solve_krsp_impl(
                     # C_OPT lower bound twice over: the solve reports it, and
                     # since C_OPT is an integer, ceil(C_LP) <= C_OPT is the
                     # cost-grid estimate C_hat.
-                    c_lp = flow_lp_bound(inst, fastest=min_delay_flow)[0]
+                    c_lp = flow_lp_bound(
+                        inst, cheapest=cheapest, fastest=fastest
+                    )[0]
                     c_hat = max(1, math.ceil(c_lp))
                     theta = scale_instance(inst, eps1, eps2, c_hat)
                     work_inst = theta.instance
                     scaled = True
                     # Phase 1 and the cost cap need the scaled instance's
-                    # own min-delay flow.
-                    work_fastest = fastest_flow(work_inst)
+                    # own flows. Floors keep every original solution
+                    # feasible, so this gate never raises.
+                    work_cheapest, work_fastest = _feasibility_gate(work_inst)
 
             with timer.section("phase1"):
                 provider = PROVIDERS[phase1]
-                p1 = provider(work_inst, work_fastest)
+                p1 = provider(
+                    work_inst, cheapest=work_cheapest, fastest=work_fastest
+                )
 
             with timer.section("lower_bound"):
                 # The flow-LP optimum is the tightest certified lower bound
@@ -332,18 +347,20 @@ def _solve_krsp_impl(
                 lower_bound = p1.cost_lower_bound
                 if not p1.bound_is_lp_optimum:
                     lower_bound = flow_lp_bound(
-                        work_inst, p1.multiplier, fastest=work_fastest
+                        work_inst,
+                        p1.multiplier,
+                        cheapest=work_cheapest,
+                        fastest=work_fastest,
                     )[0]
 
             with timer.section("cost_cap"):
-                cap_res = _cost_cap_upper_bound(work_inst, work_fastest)
-                cap = cap_paths = None
-                if cap_res is not None:
-                    cap, cap_paths = cap_res
+                # The delay-feasible flow the gate holds costs at least
+                # C_OPT, exactly C_OPT when it is the cheapest flow. Lemma 3
+                # caps |c(O)| at C_OPT itself, so opt_cost can only lower it.
+                held = work_fastest or work_cheapest
+                cap = held.cost
                 if opt_cost is not None and not scaled:
-                    # Lemma 3 caps |c(O)| at C_OPT itself; the min-delay
-                    # flow's cost only bounds C_OPT from above.
-                    cap = opt_cost if cap is None else min(cap, opt_cost)
+                    cap = min(cap, opt_cost)
 
             if checkpoint_hook is not None:
                 # Durable prelude: everything the loop needs that phase 1
@@ -353,8 +370,8 @@ def _solve_krsp_impl(
                     p1_solution=p1.solution,
                     lower_bound=lower_bound,
                     cost_cap=cap,
-                    cap_paths=cap_paths,
-                    min_delay=min_delay_flow.delay,
+                    cap_paths=_flow_paths(work_inst.graph, s, t, held),
+                    min_delay=None if fastest is None else fastest.delay,
                 )
 
             with timer.section("cancel"):
@@ -379,7 +396,7 @@ def _solve_krsp_impl(
         final_paths = [list(p) for p in result.solution.paths]
     else:
         final_paths = _best_degraded_paths(
-            g, s, t, delay_bound, min_delay_flow, p1, cap_paths, result
+            g, s, t, delay_bound, fastest or cheapest, p1, result
         )
 
     return assemble_solution(
@@ -487,34 +504,26 @@ def _best_degraded_paths(
     s: int,
     t: int,
     delay_bound: int,
-    min_delay_flow,
+    held: KFlow,
     p1: Phase1Result | None,
-    cap_paths: list[list[int]] | None,
     result: CancellationResult | None,
 ) -> list[list[int]]:
     """Pick the best valid solution available when the budget ran out.
 
     Candidates, all ``k`` edge-disjoint ``s``-``t`` path sets over the
-    original graph: the cancellation loop's best-so-far, phase 1's start,
-    the cheapest delay-feasible flow (cost-cap witness), and — always
-    available because the feasibility gate is mandatory work — the
-    minimum-delay flow. Ranked by least delay overshoot first (a feasible
-    answer beats any infeasible one), then cost, then delay.
+    original graph: the cancellation loop's best-so-far, else phase 1's
+    start, and — always available because the feasibility gate is
+    mandatory work — ``held``, the delay-feasible flow the gate holds (the
+    least-delay min-cost flow when it meets ``D``, else the minimum-delay
+    flow). Ranked by least delay overshoot first (a feasible answer beats
+    any infeasible one), then cost, then delay.
     """
     pool: list[list[list[int]]] = []
     if result is not None:
         pool.append([list(p) for p in result.solution.paths])
     elif p1 is not None:
         pool.append([list(p) for p in p1.solution.paths])
-    if cap_paths is not None:
-        pool.append(cap_paths)
-    else:
-        # The min-delay flow is delay-feasible (the feasibility gate checked
-        # exactly that) — the floor every budgeted solve can stand on.
-        eids = np.nonzero(min_delay_flow.used)[0]
-        paths, cycles = decompose_flow(g, eids, s, t)
-        strip_improving_cycles(g, paths, cycles)
-        pool.append(paths)
+    pool.append(_flow_paths(g, s, t, held))
 
     def rank(paths: list[list[int]]) -> tuple[int, int, int]:
         flat = [e for p in paths for e in p]

@@ -90,17 +90,26 @@ def _paths_from_mask(inst: KRSPInstance, mask: np.ndarray) -> PathSet:
 
 
 @obs.span("phase1.minsum")
-def phase1_minsum(inst: KRSPInstance, fastest: KFlow | None = None) -> Phase1Result:
+def phase1_minsum(
+    inst: KRSPInstance, cheapest: KFlow | None = None, fastest: KFlow | None = None
+) -> Phase1Result:
     """Min-cost k disjoint paths, delay-oblivious (cost <= C_OPT)."""
-    cheap = _cheapest(inst, inst.graph.cost)
+    res = min_cost_k_flow(inst.graph, inst.s, inst.t, inst.k, weight=inst.graph.cost)
+    if res is None:
+        raise InfeasibleInstanceError(
+            f"fewer than k={inst.k} edge-disjoint s-t paths exist"
+        )
+    sol = _paths_from_mask(inst, res.used)
     # The delay-oblivious minimum is itself a certified C_OPT lower bound.
     return Phase1Result(
-        solution=cheap.solution, cost_lower_bound=Fraction(cheap.cost), provider="minsum"
+        solution=sol, cost_lower_bound=Fraction(sol.cost), provider="minsum"
     )
 
 
 @obs.span("phase1.lp_rounding")
-def phase1_lp_rounding(inst: KRSPInstance, fastest: KFlow | None = None) -> Phase1Result:
+def phase1_lp_rounding(
+    inst: KRSPInstance, cheapest: KFlow | None = None, fastest: KFlow | None = None
+) -> Phase1Result:
     """The paper's phase 1 ([9], Lemma 5): LP + score-monotone rounding."""
     g = inst.graph
     lp = solve_flow_lp(g, inst.s, inst.t, inst.k, inst.delay_bound)
@@ -142,17 +151,6 @@ def _solution(inst: KRSPInstance, f: KFlow) -> PathSet:
     return f.solution if f.solution is not None else _paths_from_mask(inst, f.used)
 
 
-def _cheapest(inst: KRSPInstance, weight) -> KFlow:
-    """The k-flow minimizing ``weight`` (a cost order), decomposed into paths."""
-    res = min_cost_k_flow(inst.graph, inst.s, inst.t, inst.k, weight=weight)
-    if res is None:
-        raise InfeasibleInstanceError(
-            f"fewer than k={inst.k} edge-disjoint s-t paths exist"
-        )
-    sol = _paths_from_mask(inst, res.used)
-    return KFlow(res.used, sol.cost, sol.delay, sol)
-
-
 def _lex_flow(
     inst: KRSPInstance, primary, secondary
 ) -> tuple[np.ndarray, int, int]:
@@ -171,8 +169,9 @@ def fastest_flow(inst: KRSPInstance) -> KFlow:
     """The min-delay k-flow, cost tie-broken: one lexicographic
     ``(delay, cost)`` flow.
 
-    Its delay is the instance's minimum (the feasibility gate of
-    :func:`repro.core.krsp.solve_krsp`), among min-delay flows it is the
+    :func:`repro.core.krsp.solve_krsp` solves it only when
+    :func:`cheapest_flow` misses ``D``. Its delay is then the instance's
+    minimum (the feasibility gate), among min-delay flows it is the
     cheapest (the solver's cost cap), and it is the Lagrangian walk's far
     endpoint, so a caller that has it passes it to the provider.
     """
@@ -180,9 +179,14 @@ def fastest_flow(inst: KRSPInstance) -> KFlow:
     return KFlow(used, cost, delay)
 
 
-def _cheapest_flow(inst: KRSPInstance) -> KFlow:
-    """The min-cost k-flow of least delay: the Lemma 5 walk's near endpoint,
-    decomposed only if it becomes the start."""
+def cheapest_flow(inst: KRSPInstance) -> KFlow:
+    """The min-cost k-flow of least delay: one lexicographic ``(cost,
+    delay)`` flow, decomposed only if it becomes the start.
+
+    It is the first flow of :func:`repro.core.krsp.solve_krsp`, which
+    rejects fewer than ``k`` paths through it. When it meets ``D`` it is
+    optimal; otherwise it is the Lagrangian walk's near endpoint.
+    """
     used, cost, delay = _lex_flow(inst, inst.graph.cost, inst.graph.delay)
     return KFlow(used, cost, delay)
 
@@ -254,22 +258,23 @@ def _larac(
 
 @obs.span("phase1.lagrangian")
 def phase1_lagrangian(
-    inst: KRSPInstance, fastest: KFlow | None = None
+    inst: KRSPInstance, cheapest: KFlow | None = None, fastest: KFlow | None = None
 ) -> Phase1Result:
     """LARAC over k-flows: returns the cheap crossing flow (cost <= C_OPT).
 
-    If the min-cost extreme is already delay-feasible it is optimal and
-    returned directly. If even the min-delay extreme violates the budget
-    (an infeasible instance, which :func:`repro.core.krsp.solve_krsp`
-    rejects before phase 1), the walk still returns its last crossing
-    flow and phase 2 certifies infeasibility. ``fastest`` is the
-    instance's :func:`fastest_flow` when the caller already solved it.
+    If the min-cost extreme (:func:`cheapest_flow`) is already
+    delay-feasible it is optimal and returned directly. If even the
+    min-delay extreme violates the budget (an infeasible instance, which
+    :func:`repro.core.krsp.solve_krsp` rejects before phase 1), the walk
+    still returns its last crossing flow and phase 2 certifies
+    infeasibility. ``cheapest`` and ``fastest`` are the instance's
+    extremes when the caller already solved them.
     """
     g, D = inst.graph, inst.delay_bound
-    cheap = _cheapest(inst, g.cost)
+    cheap = cheapest or cheapest_flow(inst)
     if cheap.delay <= D:
         return Phase1Result(
-            solution=cheap.solution,
+            solution=_solution(inst, cheap),
             cost_lower_bound=Fraction(cheap.cost),
             provider="lagrangian",
             bound_is_lp_optimum=True,
@@ -307,7 +312,7 @@ def lemma5_score(cost: int, delay: int, cost_norm: Fraction, delay_norm: int) ->
 
 @obs.span("phase1.lagrangian_lemma5")
 def phase1_lagrangian_lemma5(
-    inst: KRSPInstance, fastest: KFlow | None = None
+    inst: KRSPInstance, cheapest: KFlow | None = None, fastest: KFlow | None = None
 ) -> Phase1Result:
     """Lemma 5's start and the exact flow-LP bound, from integer flows only.
 
@@ -319,14 +324,15 @@ def phase1_lagrangian_lemma5(
     linear and the mixture scores exactly 2, so the better endpoint
     scores at most 2 — Lemma 5's ``(alpha, 2 - alpha)`` guarantee, checked
     here as a Fraction. The bound is the exact dual value
-    ``L(lambda*) = C_LP``. ``fastest`` is the instance's
-    :func:`fastest_flow` when the caller already solved it.
+    ``L(lambda*) = C_LP``. ``cheapest`` and ``fastest`` are the
+    instance's :func:`cheapest_flow` and :func:`fastest_flow` when the
+    caller already solved them.
     """
     D = inst.delay_bound
     # A zero deadline must trip before the first flow, as it does before
     # the LP in lp_rounding.
     checkpoint("phase1.lagrangian_lemma5")
-    cheap, fast, bound, converged = _cold_walk(inst, fastest)
+    cheap, fast, bound, converged = _cold_walk(inst, fastest, cheapest)
     if fast is None:
         return Phase1Result(
             solution=_solution(inst, cheap),
@@ -375,14 +381,15 @@ def _bracket(
 
 
 def _cold_walk(
-    inst: KRSPInstance, fast: KFlow | None = None
+    inst: KRSPInstance, fast: KFlow | None = None, cheap: KFlow | None = None
 ) -> tuple[KFlow, KFlow | None, Fraction, bool]:
-    """The Lemma 5 walk from the least-delay min-cost flow to ``fast``, as
-    :func:`_bracket` returns it. When that flow meets ``D`` its cost is
-    the flow-LP optimum and the walk never starts: the returned ``fast``
-    is ``None``. ``fast`` defaults to the instance's :func:`fastest_flow`.
+    """The Lemma 5 walk from ``cheap`` to ``fast``, as :func:`_bracket`
+    returns it. When ``cheap`` meets ``D`` its cost is the flow-LP optimum
+    and the walk never starts: the returned ``fast`` is ``None``. They
+    default to the instance's :func:`cheapest_flow` and
+    :func:`fastest_flow`.
     """
-    cheap = _cheapest_flow(inst)
+    cheap = cheap or cheapest_flow(inst)
     if cheap.delay <= inst.delay_bound:
         return cheap, None, Fraction(cheap.cost), True
     return _bracket(inst, cheap, fast or fastest_flow(inst))
@@ -392,6 +399,7 @@ def flow_lp_bound(
     inst: KRSPInstance,
     multiplier: Fraction | None = None,
     fastest: KFlow | None = None,
+    cheapest: KFlow | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Exact flow-LP optimum and an optimal multiplier, warm-started.
 
@@ -407,9 +415,10 @@ def flow_lp_bound(
     flow on the near side of ``D`` and the missing endpoint: the
     min-delay flow when ``lambda`` is too small, the least-delay min-cost
     flow when it is too large. Any hint gives the same bound; only the
-    number of flows differs. ``fastest`` is the instance's
-    :func:`fastest_flow` when the caller already solved it; a walk that
-    needs the min-delay flow takes it instead of solving it again.
+    number of flows differs. ``fastest`` and ``cheapest`` are the
+    instance's :func:`fastest_flow` and :func:`cheapest_flow` when the
+    caller already solved them; a walk that needs one takes it instead of
+    solving it again.
 
     Only edge masks and exact totals are used: no flow is decomposed into
     paths. Raises :class:`InfeasibleInstanceError` when fewer than ``k``
@@ -435,9 +444,9 @@ def flow_lp_bound(
             if high.delay >= D:
                 return Fraction(w - p * D, q), multiplier
             # lambda > lambda*: the whole face undershoots D.
-            walk = _cold_walk(inst, high)
+            walk = _cold_walk(inst, high, cheapest)
     else:
-        walk = _cold_walk(inst, fastest)
+        walk = _cold_walk(inst, fastest, cheapest)
     cheap, fast, bound, _ = walk
     return bound, Fraction(0) if fast is None else _slope(cheap, fast)
 
@@ -458,8 +467,10 @@ PROVIDERS = {
 }
 """Name registry used by :func:`repro.core.krsp.solve_krsp`.
 
-Every provider is called as ``provider(inst, fastest)``. ``fastest`` is the
-instance's :func:`fastest_flow` when the caller already solved it (or
-``None``); the Lagrangian providers take it as their far endpoint instead
-of solving it again, the others have no use for it.
+Every provider is called as ``provider(inst, cheapest=None, fastest=None)``.
+``cheapest`` and ``fastest`` are the instance's :func:`cheapest_flow` and
+:func:`fastest_flow` when the caller already solved them (``fastest`` is
+solved only when ``cheapest`` misses ``D``); the Lagrangian providers take
+them as their walk's endpoints instead of solving them again, the others
+have no use for them. ``PROVIDERS[name](inst)`` solves what it needs.
 """

@@ -12,10 +12,10 @@ of kRSP).
 
 The weight array is a parameter: the Lagrangian phase-1 providers call this
 with ``den*c + num*d`` blends, the min-sum baseline with ``c`` alone, and the
-feasibility gate with the lexicographic ``(delay, cost)`` weight of
-:func:`lexicographic_weights`. That gate is also the solver's only test
-that ``k`` edge-disjoint paths exist: this returns ``None`` when they do
-not.
+feasibility gate with the lexicographic ``(cost, delay)`` weight of
+:func:`lexicographic_weights` (then ``(delay, cost)`` when that flow misses
+``D``). The gate's first flow is also the solver's only test that ``k``
+edge-disjoint paths exist: this returns ``None`` when they do not.
 
 The search runs over Python lists and ints. Weights are exact at any size
 (blends of large costs and delays would overflow int64), and list indexing
@@ -112,20 +112,21 @@ def min_cost_k_flow(
     # the telemetry-disabled cost inside the loops to bare integer adds.
     augmentations = 0
     pops = 0
+    total = 0
     try:
         for _ in range(k):
-            augmented, round_pops = _augment_once(
+            gain, round_pops = _augment_once(
                 n, s, t, w, used, pi, out_adj, in_adj, head, tail
             )
             pops += round_pops
-            if not augmented:
+            if gain is None:
                 return None  # max flow < k
+            total += gain
             augmentations += 1
     finally:
         obs.add("mincost.augmentations", augmentations)
         obs.add("mincost.dijkstra_pops", pops)
 
-    total = sum(w[e] for e, on in enumerate(used) if on)
     return MinCostFlowResult(used=np.array(used, dtype=bool), weight=total)
 
 
@@ -140,12 +141,14 @@ def _augment_once(
     in_adj: list[list[int]],
     head: list[int],
     tail: list[int],
-) -> tuple[bool, int]:
+) -> tuple[int | None, int]:
     """One successive-shortest-path augmentation.
 
     Mutates ``used`` and the potentials ``pi`` in place. Returns
-    ``(augmented, dijkstra_pops)``; ``augmented`` is False when ``t`` is
-    unreachable in the residual (max flow exhausted).
+    ``(gain, dijkstra_pops)``: ``gain`` is the change of the flow's total
+    weight (``+w`` per edge the path adds, ``-w`` per edge it cancels), or
+    ``None`` when ``t`` is unreachable in the residual (max flow
+    exhausted).
 
     Dijkstra stops as soon as ``t`` is settled. Every vertex still open is
     then at least ``dist[t]`` away, and ``dist[t]`` is exactly where the
@@ -202,7 +205,7 @@ def _augment_once(
                 push(heap, (nd, v))
     dt = dist[t]
     if dt == inf:
-        return False, pops  # max flow exhausted
+        return None, pops  # max flow exhausted
     # Update potentials with dist capped at dist[t]: every vertex not
     # settled is at least that far, and the cap keeps future reduced
     # weights valid (standard trick).
@@ -210,15 +213,18 @@ def _augment_once(
         dv = dist[v]
         pi[v] += dv if dv < dt else dt
     # Augment along pred.
+    gain = 0
     v = t
     while v != s:
         p = pred[v]
         if p > 0:
             e = p - 1
             used[e] = True
+            gain += w[e]
             v = tail[e]
         else:
             e = -p - 1
             used[e] = False
+            gain -= w[e]
             v = head[e]
-    return True, pops
+    return gain, pops

@@ -434,7 +434,7 @@ def _resolve_warm(
                 exhausted = exc.reason
             except InfeasibleInstanceError:
                 # Step 2(a) from the warm flow says infeasible; the cold
-                # pipeline's exact min-delay-flow gate is the authority.
+                # pipeline's exact feasibility gate is the authority.
                 raise _WarmAbort(FALLBACK_WARM_INFEASIBLE) from None
             except IterationLimitError:
                 raise _WarmAbort(FALLBACK_WARM_STALLED) from None

@@ -117,8 +117,9 @@ class TestSolveKrsp:
 
     def test_scaled_bound_reuses_the_gate_flow(self, monkeypatch):
         """The scaled branch's C_LP walk takes the feasibility gate's
-        min-delay flow instead of solving it again: one min-cost k-flow
-        fewer than a walk that solves its own, same answer and bound."""
+        cheapest and min-delay flows instead of solving them again: two
+        min-cost k-flows fewer than a walk that solves its own, same
+        answer and bound."""
         import repro.core.krsp as krsp_mod
         import repro.core.phase1 as phase1_mod
         from repro.flow import min_cost_k_flow
@@ -146,10 +147,10 @@ class TestSolveKrsp:
         monkeypatch.setattr(
             krsp_mod,
             "flow_lp_bound",
-            lambda inst, multiplier=None, fastest=None: real_bound(inst, multiplier),
+            lambda inst, multiplier=None, **flows: real_bound(inst, multiplier),
         )
         resolved, answer_resolved = solve()
-        assert reused == resolved - 1
+        assert reused == resolved - 2
         assert answer == answer_resolved
 
     def test_structural_infeasibility(self):

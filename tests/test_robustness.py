@@ -145,8 +145,8 @@ class TestAnytimeSolve:
             inst.graph, inst.s, inst.t, inst.k, inst.delay_bound, sol.paths
         )
         assert report.valid, report.issues
-        # The feasibility gate's min-delay k-flow is mandatory pre-budget
-        # work, so even a zero deadline has a delay-feasible floor.
+        # The feasibility gate's delay-feasible k-flow is mandatory
+        # pre-budget work, so even a zero deadline has a floor that meets D.
         assert report.delay_feasible
 
     def test_zero_deadline_reports_exhaustion(self):
