@@ -9,6 +9,12 @@ routinely) under ``SolveBudget(deadline_seconds=D)`` and fails when:
   spaced so one LP solve is the largest indivisible overrun), or
 * any returned solution fails the independent auditor.
 
+Each instance is also solved under ``SolveBudget(max_iterations=1)``; the
+guard fails when such a solve cancels more than once, when its meter did
+not count the iterations it ran (``certificate.iterations_used``), or when
+the auditor rejects its answer, so the cap must reach the cancellation
+loop.
+
 Exit status: 0 when every solve honored the deadline and verified, 1
 otherwise. Usage (CI runs this with the defaults)::
 
@@ -68,24 +74,36 @@ def main(argv: list[str] | None = None) -> int:
                         f"(deadline {args.deadline}s +{args.grace:.0%})"
                     )
                     continue
-                report = verify_solution(
+                capped = solve_krsp(
                     inst.graph, inst.s, inst.t, inst.k, inst.delay_bound,
-                    sol.paths,
+                    budget=SolveBudget(max_iterations=1),
                 )
-                if not (report.valid and report.delay_feasible):
+                counted = capped.certificate.iterations_used
+                if capped.iterations > 1 or counted != capped.iterations:
                     violations.append(
-                        f"{label}: unverifiable answer under budget "
-                        f"(status={sol.status}): {report.issues}"
+                        f"{label}: {capped.iterations} iterations, {counted} "
+                        f"metered, under max_iterations=1 "
+                        f"(status={capped.status})"
                     )
+                for tag, answer in (("deadline", sol), ("max_iterations=1", capped)):
+                    report = verify_solution(
+                        inst.graph, inst.s, inst.t, inst.k, inst.delay_bound,
+                        answer.paths,
+                    )
+                    if not (report.valid and report.delay_feasible):
+                        violations.append(
+                            f"{label}: unverifiable answer under {tag} budget "
+                            f"(status={answer.status}): {report.issues}"
+                        )
 
-    print(f"deadline guard: {solves} budgeted solves, worst {worst:.3f}s "
-          f"against a {limit:.3f}s limit")
+    print(f"deadline guard: {solves} deadline solves, worst {worst:.3f}s "
+          f"against a {limit:.3f}s limit; each also under max_iterations=1")
     if violations:
         print(f"FAILED: {len(violations)} violation(s)", file=sys.stderr)
         for v in violations:
             print(f"  {v}", file=sys.stderr)
         return 1
-    print("ok: every solve honored the deadline and verified")
+    print("ok: every solve honored its budget and verified")
     return 0
 
 

@@ -12,8 +12,9 @@ solution's gaps ``DeltaD = D - sum d(P_i)`` (negative while infeasible) and
   sells delay for cost without wrecking the rate.
 
 ``C_OPT`` is unknown at run time; the solver substitutes a lower bound
-(the flow-LP optimum), which only makes the type-1/2 tests stricter — see
-DESIGN.md "Substitutions". All ratio tests are exact integer comparisons.
+(the flow-LP optimum), which makes the type-1 test stricter and the
+type-2 test looser (see :mod:`repro.core.cancellation` and DESIGN.md
+"Substitutions"). All ratio tests are exact integer comparisons.
 """
 
 from __future__ import annotations

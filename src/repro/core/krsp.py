@@ -67,7 +67,12 @@ from repro.robustness.anytime import (
     Certificate,
     make_certificate,
 )
-from repro.robustness.budget import BudgetMeter, SolveBudget, metered
+from repro.robustness.budget import (
+    BudgetMeter,
+    SolveBudget,
+    current_meter,
+    metered,
+)
 
 
 @dataclass
@@ -180,11 +185,9 @@ def solve_krsp(
     delay_bound: int,
     phase1: str = DEFAULT_PROVIDER,
     eps: tuple[float, float] | float | None = None,
-    b_max: int | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     opt_cost: int | None = None,
     strict_monitor: bool = False,
-    finder: str = "production",
     budget: SolveBudget | None = None,
     checkpoint_hook=None,
 ) -> KRSPSolution:
@@ -203,21 +206,22 @@ def solve_krsp(
         ``None`` runs the pseudo-polynomial Lemma-3 algorithm (bifactor
         ``(1, 2)``); a float or ``(eps1, eps2)`` pair runs the Theorem-4
         polynomial variant (bifactor ``(1 + eps1, 2 + eps2)``).
-    b_max, max_iterations:
-        Search radius / iteration caps (see
-        :mod:`repro.core.cancellation`).
-    opt_cost, strict_monitor, finder:
+    max_iterations:
+        Iteration cap (see :mod:`repro.core.cancellation`).
+    opt_cost, strict_monitor:
         Instrumentation / fidelity knobs — see
-        :func:`cancel_to_feasibility`. Either finder builds each
-        iteration's residual from its current solution.
+        :func:`cancel_to_feasibility`.
     budget:
         Cooperative :class:`repro.robustness.SolveBudget` enabling
         **anytime** semantics: on exhaustion (wall-clock deadline,
         iteration cap, search-node cap — even a zero deadline) the solver
         returns the best valid ``k``-disjoint-paths solution it holds,
         with ``status != "ok"`` and a quality :class:`Certificate`,
-        instead of raising. Structural/budget infeasibility still raises
-        (there is no valid answer to degrade to). The feasibility gate is
+        instead of raising; a stalled loop returns ``"degraded"``. With
+        ``None`` the solve runs under the meter an outer caller installed
+        (:func:`repro.robustness.metered`), if any. Structural/budget
+        infeasibility still raises (there is no valid answer to degrade
+        to). The feasibility gate is
         mandatory work, so a budgeted solve always has at least the
         delay-feasible flow the gate holds to fall back on: the
         least-delay min-cost flow when it meets ``D``, else the
@@ -226,8 +230,7 @@ def solve_krsp(
         Crash-safety seam
         (:class:`repro.robustness.checkpointing.CheckpointHook`): writes
         the write-ahead journal prelude after phase 1 and the bound steps
-        and hands the per-iteration/snapshot hooks to the cancellation
-        loop. Use
+        and hands the per-iteration hooks to the cancellation loop. Use
         :func:`repro.robustness.checkpointing.solve_checkpointed` rather
         than constructing one by hand.
 
@@ -249,7 +252,7 @@ def solve_krsp(
         )
     # Arm the deadline clock before any work so "deadline" means
     # end-to-end wall clock, not just the cancellation phase.
-    meter = budget.start() if budget is not None else None
+    meter = budget.start() if budget is not None else current_meter()
     if obs.enabled():
         # Nest a per-solve session under whatever is tracing (CLI trace,
         # fuzz run, eval harness) so each solution carries its own counter
@@ -257,8 +260,8 @@ def solve_krsp(
         start = time.perf_counter()
         with obs.session(label="solve_krsp") as tel:
             sol = _solve_krsp_impl(
-                g, s, t, k, delay_bound, phase1, eps, b_max,
-                max_iterations, opt_cost, strict_monitor, finder, meter,
+                g, s, t, k, delay_bound, phase1, eps,
+                max_iterations, opt_cost, strict_monitor, meter,
                 checkpoint_hook,
             )
         # End-to-end solve latency, observed into every enclosing session's
@@ -268,8 +271,8 @@ def solve_krsp(
         sol.counters = dict(tel.counters)
         return sol
     return _solve_krsp_impl(
-        g, s, t, k, delay_bound, phase1, eps, b_max,
-        max_iterations, opt_cost, strict_monitor, finder, meter,
+        g, s, t, k, delay_bound, phase1, eps,
+        max_iterations, opt_cost, strict_monitor, meter,
         checkpoint_hook,
     )
 
@@ -282,11 +285,9 @@ def _solve_krsp_impl(
     delay_bound: int,
     phase1: str,
     eps: tuple[float, float] | float | None,
-    b_max: int | None,
     max_iterations: int,
     opt_cost: int | None,
     strict_monitor: bool,
-    finder: str,
     meter: BudgetMeter | None = None,
     checkpoint_hook=None,
 ) -> KRSPSolution:
@@ -309,7 +310,8 @@ def _solve_krsp_impl(
     exhausted: str | None = None
 
     # Everything past the feasibility gate runs under the (possibly absent)
-    # budget meter; a trip anywhere degrades to the best valid solution held
+    # budget meter, installed here and read ambiently below (the loop
+    # included); a trip anywhere degrades to the best valid solution held
     # at that point instead of surfacing the control-flow exception.
     with metered(meter):
         try:
@@ -381,10 +383,8 @@ def _solve_krsp_impl(
                     cost_lower_bound=lower_bound,
                     opt_cost=opt_cost if not scaled else None,
                     cost_cap=cap,
-                    b_max=b_max,
                     max_iterations=max_iterations,
                     strict_monitor=strict_monitor and not scaled,
-                    finder=finder,
                     journal=checkpoint_hook,
                 )
             exhausted = result.exhausted
@@ -409,7 +409,7 @@ def _solve_krsp_impl(
         provider_name=p1.provider if p1 is not None else "",
         scaled=scaled,
         timings=timer.as_dict(),
-        meter=meter,
+        usage=meter.usage() if meter is not None else None,
         multiplier=p1.multiplier if p1 is not None and not scaled else None,
     )
 
@@ -425,10 +425,13 @@ def assemble_solution(
     provider_name: str,
     scaled: bool,
     timings: dict[str, float],
-    meter: BudgetMeter | None,
+    usage: dict | None,
     multiplier: Fraction | None = None,
 ) -> KRSPSolution:
     """Assemble the :class:`KRSPSolution` (status, certificate, telemetry).
+
+    ``usage`` is the budget meter's :meth:`~repro.robustness.BudgetMeter.usage`
+    snapshot, ``None`` for an unbudgeted solve.
 
     Shared between the live pipeline and
     :func:`repro.robustness.checkpointing.resume_krsp`, so a resumed solve
@@ -451,7 +454,7 @@ def assemble_solution(
         delay_bound,
         lower_bound,
         exhausted_reason=exhausted,
-        usage=meter.usage() if meter is not None else None,
+        usage=usage,
     )
 
     iterations = result.iterations if result is not None else 0
@@ -466,9 +469,9 @@ def assemble_solution(
             "budget.exhausted",
             reason=exhausted,
             status=status,
-            elapsed_seconds=meter.elapsed_seconds() if meter is not None else None,
-            iterations_used=meter.iterations_used if meter is not None else iterations,
-            search_nodes_used=meter.search_nodes_used if meter is not None else 0,
+            elapsed_seconds=certificate.elapsed_seconds if usage else None,
+            iterations_used=certificate.iterations_used if usage else iterations,
+            search_nodes_used=certificate.search_nodes_used,
         )
     obs.emit(
         "solve.result",

@@ -46,7 +46,7 @@ from repro.core.cycle_decompose import split_closed_walk
 from repro.core.residual import ResidualGraph
 from repro.graph.digraph import DiGraph
 from repro.paths.bellman_ford import find_negative_cycle
-from repro.robustness.budget import BudgetMeter
+from repro.robustness.budget import charge_search_nodes
 
 @dataclass
 class SearchStats:
@@ -155,22 +155,19 @@ def _sweep(
     cost_cap: int | None,
     candidates: list[CandidateCycle],
     b: int,
-    b_max: int,
     stats: SearchStats,
-    meter: BudgetMeter | None,
-    sites: tuple[str, str],
 ) -> Iterator[tuple[int, int]]:
     """The doubling sweep over ``H(B)`` shared by both production finders.
 
-    For ``B = b, 2b, ...`` up to ``b_max``, searches ``H(B)`` once for both
-    cost signs (:func:`~repro.core.auxlp.min_ratio_cycles` from the
+    For ``B = b, 2b, ...`` up to :func:`_sweep_top`, searches ``H(B)`` once
+    for both cost signs (:func:`~repro.core.auxlp.min_ratio_cycles` from the
     :func:`reversed_edge_anchors`, wraps of cost at most
     ``min(B, cost_cap)``), then for each sign (+1 first) appends
     the residual cycles its optimum releases to ``candidates``
     (deduplicated) and yields ``(B, sign)``, so
     the caller can judge the candidates after every (level, sign) and stop
-    the sweep by leaving the loop. ``sites`` name the meter's node-charge
-    and deadline-check sites.
+    the sweep by leaving the loop. Each ``H(B)`` built is charged to the
+    ambient budget's node cap (:func:`charge_search_nodes`).
 
     **Residual rule-out.** A one-wrap cycle of ``H(B)`` through a wrap of
     sign ``s`` projects, wrap dropped, to a closed residual walk whose cost
@@ -187,8 +184,8 @@ def _sweep(
     ``stats.lp_solves`` counts every (level, sign) step and
     ``stats.b_values`` every level, searched or ruled out.
     """
-    charge_site, check_site = sites
     g, anchors = residual.graph, reversed_edge_anchors(residual)
+    top = _sweep_top(g)
     seen = set(tuple(sorted(c.edges)) for c in candidates)
     has_signed_cycle = _level_test(g)
     open_sign = {+1: False, -1: False}
@@ -201,9 +198,7 @@ def _sweep(
             aux = build_aux_shifted(g, b)
             stats.aux_nodes_built += aux.graph.n
             stats.aux_edges_built += aux.graph.m
-            if meter is not None:
-                meter.charge_search_nodes(aux.graph.n, charge_site)
-                meter.check(check_site)
+            charge_search_nodes(aux.graph.n, "search.sweep")
             cycles = min_ratio_cycles(aux, anchors, b if cost_cap is None else min(b, cost_cap))
         for sign in (+1, -1):
             if not open_sign[sign]:
@@ -216,9 +211,9 @@ def _sweep(
                         candidates.append(cand)
             stats.lp_solves += 1
             yield b, sign
-        if b >= b_max:
+        if b >= top:
             return
-        b = min(b * 2, b_max)
+        b = min(b * 2, top)
 
 
 @contextmanager
@@ -236,11 +231,10 @@ def _searching(span: str, stats: SearchStats | None) -> Iterator[SearchStats]:
             stats._flush_delta(before)
 
 
-def _sweep_top(g: DiGraph, b_max: int | None) -> int:
-    """The sweep's top radius: ``b_max`` capped at ``sum |c|`` (its default),
-    the largest running-cost spread of any simple residual cycle."""
-    total_abs_cost = max(1, int(np.abs(g.cost).sum()))
-    return max(1, min(b_max if b_max is not None else total_abs_cost, total_abs_cost))
+def _sweep_top(g: DiGraph) -> int:
+    """The sweep's top radius: ``sum |c|``, the largest running-cost
+    spread of any simple residual cycle."""
+    return max(1, int(np.abs(g.cost).sum()))
 
 
 def find_bicameral_cycle(
@@ -248,12 +242,10 @@ def find_bicameral_cycle(
     delta_d: int,
     delta_c_estimate: int | None,
     cost_cap: int | None,
-    b_max: int | None = None,
     stats: SearchStats | None = None,
     fallback: str = "type1_first",
     delta_c_soft: int | None = None,
     type2_only_if_no_type1: bool = False,
-    meter: BudgetMeter | None = None,
 ) -> tuple[CandidateCycle, CycleType] | None:
     """Search-and-select with early stopping (the production path).
 
@@ -283,11 +275,10 @@ def find_bicameral_cycle(
 
     Telemetry: runs under a ``search.bicameral`` span and flushes the
     per-call work (probes, ratio searches, aux-graph sizes, candidates
-    found) into ``search.*`` / ``bicameral.*`` counters on exit. With a
-    ``meter``, the sweep charges auxiliary-graph nodes against the
-    budget's node cap and checks the deadline between ratio searches; a
-    trip raises :class:`~repro.errors.BudgetExhaustedError` (counters
-    still flush).
+    found) into ``search.*`` / ``bicameral.*`` counters on exit. Under an
+    ambient budget the sweep charges auxiliary-graph nodes against its
+    node cap and each ratio search checks it; a trip raises
+    :class:`~repro.errors.BudgetExhaustedError` (counters still flush).
     """
     from repro.core.bicameral import select_candidate
 
@@ -331,22 +322,17 @@ def find_bicameral_cycle(
             stats.candidates = len(candidates)
             return pick
 
-        b_max = _sweep_top(g, b_max)
         nonzero = np.abs(g.cost[g.cost != 0])
         # No cycle uses a nonzero-cost edge at radius below that edge's
         # |c|, and all-zero-cost cycles are already covered by the
         # Bellman-Ford probes.
         b = max(1, int(nonzero.min())) if len(nonzero) else 1
-        b = min(b, b_max)
 
         # Positive-cost cycles (type-1 material) are what a delay-infeasible
         # iteration almost always needs; the sweep releases the negative
         # sign's cycles only when the positive one did not already yield
         # an accepted pick.
-        for radius, _sign in _sweep(
-            residual, cost_cap, candidates, b, b_max, stats, meter,
-            ("search.sweep", "search.ratio_cycle"),
-        ):
+        for radius, _sign in _sweep(residual, cost_cap, candidates, b, stats):
             pick = certified(delta_c_estimate) or soft_pick_if_scale_covered(radius)
             if pick is not None:
                 stats.short_circuited_type0 = pick[1] is CycleType.TYPE0
@@ -366,42 +352,33 @@ def find_bicameral_cycle(
 
 def find_bicameral_candidates(
     residual: ResidualGraph,
-    b_max: int | None = None,
     stats: SearchStats | None = None,
-    meter: BudgetMeter | None = None,
 ) -> list[CandidateCycle]:
     """Collect candidate cycles for bicameral selection.
+
+    The layered sweep runs to ``sum |c(e)|`` (complete) unless a type-0
+    candidate appears first. Under an ambient budget it charges
+    auxiliary-graph nodes and each ratio search checks the budget (a trip
+    raises :class:`~repro.errors.BudgetExhaustedError`).
 
     Parameters
     ----------
     residual:
         Residual graph of the current solution.
-    b_max:
-        Cost-radius ceiling for the layered sweep; defaults to
-        ``sum |c(e)|`` (complete). Benchmarks pass smaller values to study
-        the trade-off (experiment E6).
     stats:
         Optional instrumentation sink.
-    meter:
-        Optional armed budget; the sweep charges auxiliary-graph nodes
-        and checks the deadline between ratio searches (a trip raises
-        :class:`~repro.errors.BudgetExhaustedError`).
 
     Returns a deduplicated candidate list; possibly empty (no bicameral
     cycle — Algorithm 1 step 2(a) declares the instance infeasible).
     """
     with _searching("search.candidates_full", stats) as stats:
-        g = residual.graph
         candidates = _probe_candidates(residual, stats)
         if _has_type0(candidates):
             stats.short_circuited_type0 = True
             stats.candidates = len(candidates)
             return candidates
 
-        for _radius, sign in _sweep(
-            residual, None, candidates, 1, _sweep_top(g, b_max), stats, meter,
-            ("search.candidates_full", "search.candidates_full.ratio"),
-        ):
+        for _radius, sign in _sweep(residual, None, candidates, 1, stats):
             if sign < 0 and _has_type0(candidates):
                 stats.short_circuited_type0 = True
                 break
@@ -430,7 +407,6 @@ def find_bicameral_candidates_paper(
     b_values: list[int] | None = None,
     anchors: list[int] | None = None,
     stats: SearchStats | None = None,
-    meter: BudgetMeter | None = None,
 ) -> list[CandidateCycle]:
     """Algorithm 3, literally: per-anchor ``H_v^+(B)`` / ``H_v^-(B)``
     graphs (layers 0..B, wraps only at ``v``), the paper's LP (6) on each,
@@ -440,7 +416,8 @@ def find_bicameral_candidates_paper(
     (one per (v, B, sign) instead of one per (B, sign)); exists for
     fidelity testing and the A3 ablation. ``b_values`` defaults to the
     doubling sweep up to ``sum |c|``; ``anchors`` defaults to
-    :func:`reversed_edge_anchors`.
+    :func:`reversed_edge_anchors`. Charges each graph to the ambient
+    budget's node cap.
     """
     from repro.core.auxgraph import build_aux_paper
     from repro.core.auxlp import solve_lp6
@@ -450,7 +427,7 @@ def find_bicameral_candidates_paper(
         if anchors is None:
             anchors = reversed_edge_anchors(residual)
         if b_values is None:
-            total = _sweep_top(g, None)
+            total = _sweep_top(g)
             b_values = []
             b = 1
             while True:
@@ -467,8 +444,7 @@ def find_bicameral_candidates_paper(
                     aux = build_aux_paper(g, v, b, sign)
                     stats.aux_nodes_built += aux.graph.n
                     stats.aux_edges_built += aux.graph.m
-                    if meter is not None:
-                        meter.charge_search_nodes(aux.graph.n, "search.paper_literal")
+                    charge_search_nodes(aux.graph.n, "search.paper_literal")
                     x = solve_lp6(aux, delta_d)
                     stats.lp_solves += 1
                     if x is None:

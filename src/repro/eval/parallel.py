@@ -65,19 +65,17 @@ _SOLVER_REGISTRY: dict[str, Callable] = {}
 def register_solver(name: str, fn: Callable) -> None:
     """Register a picklable-by-name solver adapter.
 
-    ``fn(graph, s, t, k, delay_bound) -> (cost, delay, extra_dict)``. An
-    adapter may additionally accept a ``budget`` keyword
-    (:class:`~repro.robustness.SolveBudget` or ``None``) to honor the
-    harness's per-trial timeout natively; adapters without it run under the
-    ambient budget meter instead (see :func:`repro.robustness.checkpoint`).
+    ``fn(graph, s, t, k, delay_bound) -> (cost, delay, extra_dict)``. The
+    harness's per-trial timeout reaches the adapter as the ambient budget
+    meter (see :func:`repro.robustness.checkpoint`).
     """
     _SOLVER_REGISTRY[name] = fn
 
 
-def _builtin_bicameral(g, s, t, k, bound, budget=None):
+def _builtin_bicameral(g, s, t, k, bound):
     from repro.core.krsp import solve_krsp
 
-    sol = solve_krsp(g, s, t, k, bound, budget=budget)
+    sol = solve_krsp(g, s, t, k, bound)
     return sol.cost, sol.delay, {
         "iterations": sol.iterations,
         "solve_status": sol.status,
@@ -139,20 +137,14 @@ def _run_one(payload: dict) -> dict:
         g = graph_from_dict(inst_d["graph"])
         s, t, k, bound = inst_d["s"], inst_d["t"], inst_d["k"], inst_d["delay_bound"]
         fn = _SOLVER_REGISTRY[payload["solver"]]
-        budget = (
-            SolveBudget(deadline_seconds=trial_timeout)
+        meter = (
+            SolveBudget(deadline_seconds=trial_timeout).start()
             if trial_timeout is not None
             else None
         )
-        meter = budget.start() if budget is not None else None
         with obs.session(label=f"trial {payload['solver']}") as tel:
             with metered(meter):
-                try:
-                    cost, delay, extra = fn(g, s, t, k, bound, budget=budget)
-                except TypeError as exc:
-                    if "budget" not in str(exc):
-                        raise
-                    cost, delay, extra = fn(g, s, t, k, bound)
+                cost, delay, extra = fn(g, s, t, k, bound)
         counters = dict(tel.counters)
         status = "ok"
     except InfeasibleInstanceError as exc:

@@ -79,7 +79,7 @@ from repro.online.deltas import (
     EdgeReweight,
     InstanceDelta,
 )
-from repro.robustness.budget import SolveBudget, metered
+from repro.robustness.budget import SolveBudget, current_meter, metered
 from repro.robustness.checkpointing import (
     CheckpointHook,
     _solve_config,
@@ -366,7 +366,7 @@ def _resolve_warm(
     inst = state.instance
     g = inst.graph
     timer = Timer(span_prefix="online")
-    meter = budget.start() if budget is not None else None
+    meter = budget.start() if budget is not None else current_meter()
 
     writer = None
     hook = None
@@ -390,7 +390,6 @@ def _resolve_warm(
                 if journal_path is not None:
                     config = _solve_config(
                         phase1=state.phase1,
-                        b_max=None,
                         max_iterations=max_iterations,
                         opt_cost=None,
                         strict_monitor=False,
@@ -424,8 +423,6 @@ def _resolve_warm(
                             cost_lower_bound=lb,
                             cost_cap=None,
                             max_iterations=max_iterations,
-                            finder="production",
-                            meter=meter,
                             journal=hook,
                         )
                     exhausted = result.exhausted
@@ -467,7 +464,7 @@ def _resolve_warm(
             provider_name=WARM_PROVIDER,
             scaled=False,
             timings=timer.as_dict(),
-            meter=meter,
+            usage=meter.usage() if meter is not None else None,
         )
         if hook is not None:
             hook.write_final(sol)

@@ -5,8 +5,11 @@ package is the seam the whole stack routes through to guarantee that:
 
 * :mod:`repro.robustness.budget` — :class:`SolveBudget` (wall-clock
   deadline, iteration cap, candidate-search node cap) and the cooperative
-  :class:`BudgetMeter` threaded through ``solve_krsp`` →
-  ``cancel_to_feasibility`` → the bicameral search → the phase-1/LP layers;
+  :class:`BudgetMeter`. ``solve_krsp`` and ``resolve`` arm one (or an
+  outer harness does: the fallback chain, the parallel trial runner) and
+  install it with :func:`metered`; the cancellation loop, the bicameral
+  search and the phase-1/LP layers read it from there, never from an
+  argument;
 * :mod:`repro.robustness.anytime` — the ``ok | degraded |
   budget_exhausted`` status taxonomy and the quality
   :class:`Certificate` every degraded answer carries;

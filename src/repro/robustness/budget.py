@@ -7,14 +7,19 @@ policy (how much the caller is willing to spend); starting it yields a
 :class:`BudgetMeter`, the mutable clock/odometer that the solver layers
 consult cooperatively:
 
-* :func:`repro.core.krsp.solve_krsp` checks between phases,
-* :func:`repro.core.cancellation.cancel_to_feasibility` checks per
-  iteration (and charges one iteration each loop),
+* :func:`repro.core.krsp.solve_krsp` and :func:`repro.online.resolve`
+  arm one (or adopt the ambient one) and install it with :func:`metered`
+  past the mandatory feasibility work,
+* :func:`repro.core.cancellation.cancel_to_feasibility` checks once per
+  iteration and counts each committed iteration,
 * :mod:`repro.core.search` charges auxiliary-graph nodes against the node
-  cap and checks the deadline between sweep levels and LP solves,
-* the phase-1 Lagrangian loop and other LP-adjacent layers call the
-  *ambient* :func:`checkpoint` hook, which is a no-op unless a meter is
-  active (mirroring how :mod:`repro.obs` keeps disabled telemetry free).
+  cap through :func:`charge_search_nodes`,
+* the search's ratio cycles, the phase-1 Lagrangian loop and the LP
+  layers call :func:`checkpoint`.
+
+Below the entry points the meter travels only ambiently: the two helpers
+read it from a context variable and are no-ops unless a meter is
+installed (mirroring how :mod:`repro.obs` keeps disabled telemetry free).
 
 A tripped check raises :class:`~repro.errors.BudgetExhaustedError`, which
 the anytime layer catches and converts into a degraded-but-valid result —
@@ -160,9 +165,8 @@ class BudgetMeter:
 
 # -- ambient meter (contextvar) -----------------------------------------
 #
-# Layers that sit below an explicit-parameter seam (phase-1 providers, LP
-# wrappers) consult the ambient meter so budget threading does not force a
-# signature change on every registry-shaped API.
+# Every layer below the public entry points consults the ambient meter, so
+# budget threading forces no signature change on any solver function.
 
 _ACTIVE_METER: ContextVar[BudgetMeter | None] = ContextVar(
     "repro_budget_meter", default=None
@@ -185,9 +189,18 @@ def metered(meter: BudgetMeter | None) -> Iterator[BudgetMeter | None]:
 
 
 def checkpoint(where: str = "") -> None:
-    """Cooperative cancellation point for layers without a meter parameter.
+    """Cooperative cancellation point: check the ambient meter.
 
     Free when no budget is armed (one contextvar read)."""
     meter = _ACTIVE_METER.get()
     if meter is not None:
         meter.check(where)
+
+
+def charge_search_nodes(n: int, where: str = "search") -> None:
+    """Charge ``n`` auxiliary-graph nodes to the ambient meter, then check.
+
+    Free when no budget is armed (one contextvar read)."""
+    meter = _ACTIVE_METER.get()
+    if meter is not None:
+        meter.charge_search_nodes(n, where)

@@ -44,8 +44,11 @@ iteration records are the whole state: resume replays every record after
 the prelude. Older v1 journals may also hold ``snapshot`` records and
 iteration records with a ``residual_version``; both are ignored.
 
-Scope: checkpointed solves always run the production finder and no
-epsilon-scaling; :func:`solve_checkpointed` takes no option for either.
+Scope: checkpointed solves run no epsilon-scaling;
+:func:`solve_checkpointed` takes no option for it. Older journal headers
+also carry a ``b_max`` sweep-radius key; only ``null`` (the full sweep,
+the one radius the search runs) can be replayed identically, so any
+other value raises :class:`~repro.errors.JournalError`.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from repro.robustness.journal import (
     instance_config_hash,
 )
 from repro.robustness.anytime import STATUS_OK
+from repro.robustness.budget import current_meter
 from repro.robustness.signals import GracefulShutdown
 
 
@@ -173,8 +177,8 @@ class CheckpointHook:
         prev_edge_ids,
         new_sol: PathSet,
         r_before: Fraction | None,
-        meter=None,
     ) -> None:
+        meter = current_meter()
         new_edges = set(int(e) for e in new_sol.edge_ids)
         flipped = sorted(set(int(e) for e in prev_edge_ids) ^ new_edges)
         self.writer.append(
@@ -242,14 +246,12 @@ class CheckpointHook:
 def _solve_config(
     *,
     phase1: str,
-    b_max: int | None,
     max_iterations: int,
     opt_cost: int | None,
     strict_monitor: bool,
 ) -> dict[str, Any]:
     return {
         "phase1": phase1,
-        "b_max": b_max,
         "max_iterations": max_iterations,
         "opt_cost": opt_cost,
         "strict_monitor": strict_monitor,
@@ -265,7 +267,6 @@ def solve_checkpointed(
     *,
     journal_path,
     phase1: str = DEFAULT_PROVIDER,
-    b_max: int | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     opt_cost: int | None = None,
     strict_monitor: bool = False,
@@ -281,12 +282,11 @@ def solve_checkpointed(
     every committed step is already durable, and
     ``resume_krsp(journal_path)`` later finishes the run.
 
-    It always runs the production finder and no epsilon-scaling (scaled
-    iterations are not replayable in original units).
+    It runs no epsilon-scaling (scaled iterations are not replayable in
+    original units).
     """
     config = _solve_config(
         phase1=phase1,
-        b_max=b_max,
         max_iterations=max_iterations,
         opt_cost=opt_cost,
         strict_monitor=strict_monitor,
@@ -306,11 +306,9 @@ def solve_checkpointed(
             k,
             delay_bound,
             phase1=phase1,
-            b_max=b_max,
             max_iterations=max_iterations,
             opt_cost=opt_cost,
             strict_monitor=strict_monitor,
-            finder="production",
             checkpoint_hook=hook,
         )
         hook.write_final(sol)
@@ -453,6 +451,12 @@ def _resume_inner(
     inst = _rebuild_instance(header)
     g, D = inst.graph, inst.delay_bound
     config = header["config"]
+    if config.get("b_max") is not None:
+        raise JournalError(
+            f"journal was written with sweep radius b_max={config['b_max']}; "
+            f"the search always sweeps to sum |c|, so its iterations "
+            f"cannot be replayed identically"
+        )
     prelude = doc.last_of(KIND_PRELUDE)
     hook = CheckpointHook(writer, shutdown=shutdown)
 
@@ -467,11 +471,9 @@ def _resume_inner(
             inst.k,
             D,
             phase1=config["phase1"],
-            b_max=config["b_max"],
             max_iterations=config["max_iterations"],
             opt_cost=config["opt_cost"],
             strict_monitor=config["strict_monitor"],
-            finder="production",
             checkpoint_hook=hook,
         )
         hook.write_final(sol)
@@ -498,10 +500,8 @@ def _resume_inner(
             cost_lower_bound=lower_bound,
             opt_cost=opt_cost,
             cost_cap=prelude.get("cost_cap"),
-            b_max=config["b_max"],
             max_iterations=config["max_iterations"],
             strict_monitor=config["strict_monitor"],
-            finder="production",
             journal=hook,
             resume_state=resume_state,
         )
@@ -528,7 +528,7 @@ def _resume_inner(
         provider_name=provider,
         scaled=False,
         timings={},
-        meter=None,
+        usage=None,
     )
     if final is None:
         hook.write_final(sol_out)

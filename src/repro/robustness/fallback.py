@@ -273,17 +273,26 @@ def _run_tier(
     slice_seconds: float | None,
     solve_kwargs: dict,
 ) -> FallbackResult:
-    """Run one tier under its deadline slice, normalizing the result."""
+    """Run one tier under its deadline slice, normalizing the result.
+
+    One meter is armed for the slice and installed ambiently; every tier
+    is called the same way and reads it from there."""
     from repro.baselines import BASELINES, GUARANTEES
     from repro.core.krsp import solve_krsp
 
+    if tier != "bicameral" and tier not in BASELINES:
+        raise KeyError(f"unknown fallback tier {tier!r}")
+    meter = (
+        SolveBudget(deadline_seconds=slice_seconds).start()
+        if slice_seconds is not None
+        else None
+    )
+    with metered(meter):
+        if tier == "bicameral":
+            sol = solve_krsp(g, s, t, k, delay_bound, **solve_kwargs)
+        else:
+            res = BASELINES[tier](g, s, t, k, delay_bound)
     if tier == "bicameral":
-        budget = (
-            SolveBudget(deadline_seconds=slice_seconds)
-            if slice_seconds is not None
-            else None
-        )
-        sol = solve_krsp(g, s, t, k, delay_bound, budget=budget, **solve_kwargs)
         return FallbackResult(
             paths=sol.paths,
             cost=sol.cost,
@@ -296,13 +305,6 @@ def _run_tier(
             certificate=sol.certificate,
             solution=sol,
         )
-
-    if tier not in BASELINES:
-        raise KeyError(f"unknown fallback tier {tier!r}")
-    budget = SolveBudget(deadline_seconds=slice_seconds)
-    meter = budget.start() if slice_seconds is not None else None
-    with metered(meter):
-        res = BASELINES[tier](g, s, t, k, delay_bound)
     cert = make_certificate(
         res.cost,
         res.delay,

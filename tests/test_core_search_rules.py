@@ -74,20 +74,6 @@ class TestAntiTrapRule:
         assert picked is not None
         assert picked[0].cost == 6
 
-    def test_b_max_truncation_still_returns_fallback(self):
-        g, ids = trap_graph()
-        res = build_residual(g, [0, 1])
-        # Radius too small to represent either swap via the layered sweep;
-        # the Bellman-Ford probes still feed the fallback.
-        picked = find_bicameral_cycle(
-            res,
-            delta_d=-10,
-            delta_c_estimate=None,
-            cost_cap=None,
-            b_max=1,
-        )
-        assert picked is not None
-
 
 def _failing_solve(message):
     """Stand-in for the HiGHS adapter that reports numerical trouble."""

@@ -194,7 +194,7 @@ def test_fresh_journal_holds_one_record_per_iteration(golden):
     assert kinds == ["header", "prelude"] + ["iteration"] * iterations + ["final"]
     assert all("residual_version" not in r for r in records)
     assert set(records[0]["config"]) == {
-        "phase1", "b_max", "max_iterations", "opt_cost", "strict_monitor",
+        "phase1", "max_iterations", "opt_cost", "strict_monitor",
     }
 
 
@@ -259,6 +259,27 @@ def test_header_seal_mismatch_rejected(tmp_path, golden):
     path.write_bytes(_rewrite_record(golden["raw"], 0, retarget))
     with pytest.raises(JournalError, match="seal"):
         resume_krsp(path)
+
+
+@pytest.mark.parametrize("b_max", [None, 4])
+def test_header_sweep_radius_must_be_null(tmp_path, golden, b_max):
+    """Older headers carry a ``b_max`` sweep radius. ``null`` (the full
+    sweep, the only one the search runs) resumes bit-identically; any
+    other radius cannot be replayed identically and is refused."""
+    from repro.robustness.journal import instance_config_hash
+
+    def add_radius(payload):
+        payload["config"]["b_max"] = b_max
+        payload["seal"] = instance_config_hash(payload["instance"], payload["config"])
+
+    raw = _rewrite_record(golden["raw"], 0, add_radius)
+    path = tmp_path / "radius.journal"
+    path.write_bytes(raw[: _record_frames(raw)[1][1]])  # header + prelude
+    if b_max is None:
+        assert _fp(resume_krsp(path)) == golden["fp"]
+    else:
+        with pytest.raises(JournalError, match="b_max=4"):
+            resume_krsp(path)
 
 
 def read_journal_bytes(raw: bytes):

@@ -20,7 +20,7 @@ from hypothesis import example, given, note, settings, strategies as st
 from repro import obs
 from repro.core import KRSPInstance, solve_krsp
 from repro.core.phase1 import PROVIDERS, flow_lp_bound
-from repro.errors import InfeasibleInstanceError, ReproError
+from repro.errors import InfeasibleInstanceError
 from repro.eval.workloads import interesting_delay_bound
 from repro.graph import (
     DiGraph,
@@ -184,26 +184,6 @@ def test_theorem4_scaled_bifactor(seed, eps):
     assert sol.delay <= (1 + eps) * D + 1e-9
     assert sol.cost <= (2 + eps) * exact.cost + 1e-9
     check_disjoint_paths(g, sol.paths, s, t, k=2)
-
-
-@settings(max_examples=8)
-@given(st.integers(0, 10**6))
-def test_paper_literal_finder_agrees_on_guarantee(seed):
-    """The Algorithm-3-literal finder keeps the same end-to-end guarantee."""
-    g = _random_instance(seed, n=8)
-    s, t = 0, g.n - 1
-    exact = solve_krsp_milp(g, s, t, 2, 35)
-    if exact is None or exact.cost == 0:
-        return
-    try:
-        sol = solve_krsp(g, s, t, 2, 35, phase1="minsum", finder="paper_literal")
-    except ReproError:
-        # The literal finder has no soft/anti-trap machinery; on rare
-        # instances it stalls and the guards fire — an accepted fidelity
-        # limitation, recorded rather than hidden.
-        return
-    assert sol.delay <= 35
-    assert sol.cost <= 2 * exact.cost
 
 
 @given(st.integers(0, 10**6))

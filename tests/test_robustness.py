@@ -129,6 +129,7 @@ class TestAnytimeSolve:
                 SolveBudget(deadline_seconds=0.0),
                 SolveBudget(deadline_seconds=1e-9),
                 SolveBudget(max_iterations=0),
+                SolveBudget(max_iterations=1),
                 SolveBudget(max_search_nodes=1),
                 SolveBudget(deadline_seconds=0.0, max_iterations=0),
             ]
@@ -158,6 +159,33 @@ class TestAnytimeSolve:
         assert sol.status == STATUS_BUDGET_EXHAUSTED
         assert sol.certificate is not None
         assert sol.certificate.exhausted_reason == "deadline"
+
+    @pytest.mark.parametrize("channel", ["budget", "outer_meter"])
+    def test_iteration_cap_stops_the_loop(self, channel):
+        """The cap reaches the cancellation loop whether the solve arms it
+        (``budget=``) or runs under a meter an outer caller installed."""
+        inst = _two_iteration_instance()
+        args = (inst.graph, inst.s, inst.t, inst.k, inst.delay_bound)
+        budget = SolveBudget(max_iterations=1)
+        if channel == "budget":
+            sol = solve_krsp(*args, budget=budget)
+        else:
+            with metered(budget.start()):
+                sol = solve_krsp(*args)
+        assert sol.status == STATUS_BUDGET_EXHAUSTED
+        assert sol.iterations == 1
+        assert sol.certificate.iterations_used == 1
+        assert sol.certificate.exhausted_reason == "iterations"
+
+    def test_search_node_cap_stops_the_sweep(self):
+        inst = _two_iteration_instance()
+        sol = solve_krsp(
+            inst.graph, inst.s, inst.t, inst.k, inst.delay_bound,
+            budget=SolveBudget(max_search_nodes=1),
+        )
+        assert sol.status == STATUS_BUDGET_EXHAUSTED
+        assert sol.certificate.exhausted_reason == "search_nodes"
+        assert sol.certificate.search_nodes_used >= 1
 
     def test_untripped_budget_is_bit_identical(self):
         for inst in _instances():
@@ -225,6 +253,15 @@ class TestAnytimeSolve:
         g = g.with_weights(np.ones(g.m, np.int64), np.full(g.m, 9, np.int64))
         with pytest.raises(InfeasibleInstanceError):
             solve_krsp(g, s, t, 2, 10, budget=SolveBudget(deadline_seconds=0.0))
+
+
+def _two_iteration_instance():
+    """An instance whose unbudgeted solve cancels twice, its first search
+    reaching the auxiliary-graph sweep."""
+    inst = list(er_anticorrelated(n=20, n_instances=12, seed=5))[6]
+    base = solve_krsp(inst.graph, inst.s, inst.t, inst.k, inst.delay_bound)
+    assert base.iterations >= 2, "fixture instance no longer needs two steps"
+    return inst
 
 
 class TestFallbackChain:
