@@ -26,8 +26,9 @@ therefore never rejects the cycle Theorem 16 guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import Any
 
 from repro import obs
 from repro.core.bicameral import CycleType
@@ -56,15 +57,49 @@ class IterationRecord:
 
     The in-memory compat view; under an active :func:`repro.obs.session`
     the same state is emitted as a ``cancel.iteration`` event, which is
-    the trace-level source of truth (``repro trace`` renders it)."""
+    the trace-level source of truth (``repro trace`` renders it). Its
+    :meth:`as_dict` fields are also the body of the step's journal record
+    (:mod:`repro.robustness.checkpointing`)."""
 
     iteration: int
     cycle_type: CycleType
     cycle_cost: int
     cycle_delay: int
+    cycle_edges: int  # edges on the cancelled cycle
+    solution_edges: int  # edges of the solution after the step
     cost_after: int
     delay_after: int
     r_value: Fraction | None  # DeltaD/DeltaC before the step (None w/o bound)
+
+    def as_dict(self) -> dict[str, Any]:
+        """The step's JSON-ready fields (cycle type by name, rate as text)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["cycle_type"] = self.cycle_type.name
+        out["r_value"] = None if self.r_value is None else str(self.r_value)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> IterationRecord:
+        """Inverse of :meth:`as_dict`; other keys of ``data`` are ignored.
+
+        Raises ``KeyError``, ``ValueError`` or ``TypeError`` on a missing
+        or malformed field."""
+        r_value = data.get("r_value")
+        return cls(
+            **{
+                f.name: int(data[f.name])
+                for f in fields(cls)
+                if f.name not in ("cycle_type", "r_value")
+            },
+            cycle_type=CycleType[data["cycle_type"]],
+            r_value=None if r_value is None else Fraction(r_value),
+        )
+
+    def emit(self, delay_bound: int) -> None:
+        """Count the step and emit its ``cancel.iteration`` event."""
+        obs.inc("cancellation.iterations")
+        obs.inc(f"cancellation.applied.{self.cycle_type.name.lower()}")
+        obs.emit("cancel.iteration", **self.as_dict(), delay_bound=delay_bound)
 
 
 @dataclass
@@ -280,45 +315,24 @@ def cancel_to_feasibility(
                 )
             seen_states.add(state)
 
-            if journal is not None:
-                # Write-ahead: the step is durable before the in-memory commit
-                # below. A crash in between replays this record on resume,
-                # which lands in exactly the state the commit would have.
-                journal.record_iteration(
-                    iteration=result.iterations + 1,
-                    ctype=ctype,
-                    cycle=cycle,
-                    prev_edge_ids=sol.edge_ids,
-                    new_sol=new_sol,
-                    r_before=r_before,
-                )
-
-            result.records.append(
-                IterationRecord(
-                    iteration=result.iterations + 1,
-                    cycle_type=ctype,
-                    cycle_cost=cycle.cost,
-                    cycle_delay=cycle.delay,
-                    cost_after=new_sol.cost,
-                    delay_after=new_sol.delay,
-                    r_value=r_before,
-                )
-            )
-            obs.inc("cancellation.iterations")
-            obs.inc(f"cancellation.applied.{ctype.name.lower()}")
-            obs.emit(
-                "cancel.iteration",
-                iteration=result.iterations,
-                cycle_type=ctype.name,
+            record = IterationRecord(
+                iteration=result.iterations + 1,
+                cycle_type=ctype,
                 cycle_cost=cycle.cost,
                 cycle_delay=cycle.delay,
                 cycle_edges=len(cycle.edges),
                 solution_edges=len(new_sol.edge_ids),
                 cost_after=new_sol.cost,
                 delay_after=new_sol.delay,
-                delay_bound=D,
-                r_value=None if r_before is None else str(r_before),
+                r_value=r_before,
             )
+            if journal is not None:
+                # Write-ahead: the step is durable before the in-memory commit
+                # below. A crash in between replays this record on resume,
+                # which lands in exactly the state the commit would have.
+                journal.record_iteration(record, new_sol, sol.edge_ids)
+            result.records.append(record)
+            record.emit(D)
 
             if strict_monitor and r_before is not None:
                 r_after = _r_value(D, cost_bound, new_sol)

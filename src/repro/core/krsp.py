@@ -171,7 +171,7 @@ def _feasibility_gate(inst: KRSPInstance) -> tuple[KFlow, KFlow | None]:
 
 
 def _flow_paths(g: DiGraph, s: int, t: int, f: KFlow) -> list[list[int]]:
-    """The paths of flow ``f``, built only for a journal or a budget trip."""
+    """The paths of flow ``f``, built only for a budget trip."""
     paths, cycles = decompose_flow(g, np.flatnonzero(f.used), s, t)
     strip_improving_cycles(g, paths, cycles)
     return paths
@@ -372,8 +372,6 @@ def _solve_krsp_impl(
                     p1_solution=p1.solution,
                     lower_bound=lower_bound,
                     cost_cap=cap,
-                    cap_paths=_flow_paths(work_inst.graph, s, t, held),
-                    min_delay=None if fastest is None else fastest.delay,
                 )
 
             with timer.section("cancel"):

@@ -80,12 +80,7 @@ from repro.online.deltas import (
     InstanceDelta,
 )
 from repro.robustness.budget import SolveBudget, current_meter, metered
-from repro.robustness.checkpointing import (
-    CheckpointHook,
-    _solve_config,
-    solve_checkpointed,
-)
-from repro.robustness.journal import JournalWriter
+from repro.robustness.checkpointing import CheckpointHook, solve_checkpointed
 
 #: Schema tag of the persisted online-state file (``repro solve --state``).
 STATE_SCHEMA = "online-state/1"
@@ -203,8 +198,16 @@ def resolve(
 
     Raises :class:`InfeasibleInstanceError` when the patched instance
     admits no solution; the session survives (``state.solution`` becomes
-    ``None``) and later deltas may restore feasibility.
+    ``None``) and later deltas may restore feasibility. Raises
+    :class:`InputError`, before touching ``state``, when both ``budget``
+    and ``journal_path`` are given: a journaled resolve must be
+    deterministic to be replayable.
     """
+    if budget is not None and journal_path is not None:
+        raise InputError(
+            "a journaled resolve takes no budget (checkpointed solves must "
+            "be deterministic and replayable; see docs/ROBUSTNESS.md)"
+        )
     obs.inc("online.resolves")
     inst = state.instance
     g = inst.graph
@@ -368,7 +371,6 @@ def _resolve_warm(
     timer = Timer(span_prefix="online")
     meter = budget.start() if budget is not None else current_meter()
 
-    writer = None
     hook = None
     result = None
     exhausted: str | None = None
@@ -388,21 +390,14 @@ def _resolve_warm(
                         obs.inc("online.lb_reused")
 
                 if journal_path is not None:
-                    config = _solve_config(
+                    hook = CheckpointHook.open(
+                        journal_path,
+                        inst,
                         phase1=state.phase1,
                         max_iterations=max_iterations,
-                        opt_cost=None,
-                        strict_monitor=False,
-                    )
-                    writer = JournalWriter.fresh(
-                        journal_path,
-                        instance=instance_to_dict(
-                            g, inst.s, inst.t, inst.k, inst.delay_bound
-                        ),
-                        config=config,
+                        shutdown=shutdown,
                         fsync=fsync,
                     )
-                    hook = CheckpointHook(writer, shutdown=shutdown)
                     # The warm start plays the prelude's phase-1 role: a
                     # killed resolve resumes through the stock resume_krsp
                     # path, bit-identically, with no online-specific code.
@@ -411,8 +406,6 @@ def _resolve_warm(
                         p1_solution=start,
                         lower_bound=lb,
                         cost_cap=None,
-                        cap_paths=None,
-                        min_delay=None,
                     )
 
                 if start.delay > inst.delay_bound:
@@ -490,8 +483,8 @@ def _resolve_warm(
         )
         return sol
     finally:
-        if writer is not None:
-            writer.close()
+        if hook is not None:
+            hook.close()
 
 
 def _resolve_cold(

@@ -15,7 +15,9 @@ solving:
   to a result **bit-identical** to the uninterrupted run: same paths,
   same cost/delay, same ``cancel.iteration`` telemetry trail.
 * :class:`CheckpointHook` — the duck-typed seam ``cancel_to_feasibility``
-  and ``_solve_krsp_impl`` call; constructed by the two functions above.
+  and ``_solve_krsp_impl`` call. :meth:`CheckpointHook.open` is the one
+  way a journaled run starts a journal (:func:`solve_checkpointed` and
+  the online warm resolve); :func:`resume_krsp` reopens one.
 
 Replay verification
 -------------------
@@ -65,7 +67,6 @@ from repro.core.cancellation import (
     cancel_to_feasibility,
     _r_value,
 )
-from repro.core.bicameral import CycleType
 from repro.core.instance import KRSPInstance, PathSet
 from repro.core.krsp import KRSPSolution, assemble_solution, solve_krsp
 from repro.core.phase1 import DEFAULT_PROVIDER
@@ -99,37 +100,6 @@ def _enc_paths(paths) -> list[list[int]]:
     return [[int(e) for e in p] for p in paths]
 
 
-def _dec_record(data: dict[str, Any]) -> IterationRecord:
-    return IterationRecord(
-        iteration=int(data["iteration"]),
-        cycle_type=CycleType[data["cycle_type"]],
-        cycle_cost=int(data["cycle_cost"]),
-        cycle_delay=int(data["cycle_delay"]),
-        cost_after=int(data["cost_after"]),
-        delay_after=int(data["delay_after"]),
-        r_value=_dec_fraction(data.get("r_value")),
-    )
-
-
-def _emit_iteration_event(rec: dict[str, Any], delay_bound: int) -> None:
-    """Re-emit the ``cancel.iteration`` event a live run would have emitted
-    for this record (identical fields; ``seq`` is assigned fresh by the
-    session, which is why trail comparisons drop it)."""
-    obs.emit(
-        "cancel.iteration",
-        iteration=rec["iteration"],
-        cycle_type=rec["cycle_type"],
-        cycle_cost=rec["cycle_cost"],
-        cycle_delay=rec["cycle_delay"],
-        cycle_edges=rec["cycle_edges"],
-        solution_edges=rec["solution_edges"],
-        cost_after=rec["cost_after"],
-        delay_after=rec["delay_after"],
-        delay_bound=delay_bound,
-        r_value=rec.get("r_value"),
-    )
-
-
 # -- the write side ---------------------------------------------------------
 
 
@@ -153,9 +123,43 @@ class CheckpointHook:
         self.writer = writer
         self.shutdown = shutdown
 
+    @classmethod
+    def open(
+        cls,
+        path,
+        inst: KRSPInstance,
+        *,
+        phase1: str,
+        max_iterations: int,
+        opt_cost: int | None = None,
+        strict_monitor: bool = False,
+        shutdown: GracefulShutdown | None = None,
+        fsync: bool = True,
+    ) -> CheckpointHook:
+        """Start a fresh journal at ``path`` for a solve of ``inst``: the
+        header seals the instance and the solve configuration resume
+        re-runs the loop under."""
+        writer = JournalWriter.fresh(
+            path,
+            instance=instance_to_dict(
+                inst.graph, inst.s, inst.t, inst.k, inst.delay_bound
+            ),
+            config={
+                "phase1": phase1,
+                "max_iterations": max_iterations,
+                "opt_cost": opt_cost,
+                "strict_monitor": strict_monitor,
+            },
+            fsync=fsync,
+        )
+        return cls(writer, shutdown=shutdown)
+
     @property
     def path(self):
         return self.writer.path
+
+    def close(self) -> None:
+        self.writer.close()
 
     # -- solver-facing hooks --------------------------------------------
 
@@ -169,32 +173,19 @@ class CheckpointHook:
         raise SolveInterrupted(self.shutdown.signum, checkpoint_path=self.path)
 
     def record_iteration(
-        self,
-        *,
-        iteration: int,
-        ctype: CycleType,
-        cycle,
-        prev_edge_ids,
-        new_sol: PathSet,
-        r_before: Fraction | None,
+        self, record: IterationRecord, new_sol: PathSet, prev_edge_ids
     ) -> None:
+        """Append step ``record``, which took the solution from
+        ``prev_edge_ids`` to ``new_sol``."""
         meter = current_meter()
-        new_edges = set(int(e) for e in new_sol.edge_ids)
-        flipped = sorted(set(int(e) for e in prev_edge_ids) ^ new_edges)
+        flipped = sorted(
+            set(int(e) for e in prev_edge_ids)
+            ^ set(int(e) for e in new_sol.edge_ids)
+        )
         self.writer.append(
             {
                 "kind": KIND_ITERATION,
-                "iteration": iteration,
-                "cycle_type": ctype.name,
-                "cycle_cost": cycle.cost,
-                "cycle_delay": cycle.delay,
-                # The two edge counts the cancel.iteration event carries,
-                # so resume re-emits the trail verbatim.
-                "cycle_edges": len(cycle.edges),
-                "solution_edges": len(new_edges),
-                "cost_after": new_sol.cost,
-                "delay_after": new_sol.delay,
-                "r_value": _enc_fraction(r_before),
+                **record.as_dict(),
                 "flipped": flipped,
                 # The full new solution, not just the flip: the live loop's
                 # decompose + strip ordering is what resume must land on
@@ -214,9 +205,8 @@ class CheckpointHook:
         p1_solution: PathSet,
         lower_bound: Fraction | None,
         cost_cap: int | None,
-        cap_paths: list[list[int]] | None,
-        min_delay: int | None,
     ) -> None:
+        """Append what the loop starts from: exactly what resume reads."""
         self.writer.append(
             {
                 "kind": KIND_PRELUDE,
@@ -224,8 +214,6 @@ class CheckpointHook:
                 "p1_paths": _enc_paths(p1_solution.paths),
                 "lower_bound": _enc_fraction(lower_bound),
                 "cost_cap": None if cost_cap is None else int(cost_cap),
-                "cap_paths": None if cap_paths is None else _enc_paths(cap_paths),
-                "min_delay_weight": None if min_delay is None else int(min_delay),
             }
         )
 
@@ -241,21 +229,6 @@ class CheckpointHook:
                 "provider": sol.provider,
             }
         )
-
-
-def _solve_config(
-    *,
-    phase1: str,
-    max_iterations: int,
-    opt_cost: int | None,
-    strict_monitor: bool,
-) -> dict[str, Any]:
-    return {
-        "phase1": phase1,
-        "max_iterations": max_iterations,
-        "opt_cost": opt_cost,
-        "strict_monitor": strict_monitor,
-    }
 
 
 def solve_checkpointed(
@@ -285,19 +258,16 @@ def solve_checkpointed(
     It runs no epsilon-scaling (scaled iterations are not replayable in
     original units).
     """
-    config = _solve_config(
+    hook = CheckpointHook.open(
+        journal_path,
+        KRSPInstance(graph=g, s=s, t=t, k=k, delay_bound=delay_bound),
         phase1=phase1,
         max_iterations=max_iterations,
         opt_cost=opt_cost,
         strict_monitor=strict_monitor,
-    )
-    writer = JournalWriter.fresh(
-        journal_path,
-        instance=instance_to_dict(g, s, t, k, delay_bound),
-        config=config,
+        shutdown=shutdown,
         fsync=fsync,
     )
-    hook = CheckpointHook(writer, shutdown=shutdown)
     try:
         sol = solve_krsp(
             g,
@@ -314,7 +284,7 @@ def solve_checkpointed(
         hook.write_final(sol)
         return sol
     finally:
-        writer.close()
+        hook.close()
 
 
 # -- the resume side --------------------------------------------------------
@@ -352,10 +322,16 @@ def _replay_tail(
     prev_r: Fraction | None = None
     for rec in tail:
         expected = len(records) + 1
-        if int(rec["iteration"]) != expected:
+        try:
+            step = IterationRecord.from_dict(rec)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise JournalError(
+                f"iteration record {expected} is malformed ({exc!r})"
+            ) from None
+        if step.iteration != expected:
             raise JournalError(
                 f"journal iteration records not contiguous: expected "
-                f"iteration {expected}, found {rec['iteration']}"
+                f"iteration {expected}, found {step.iteration}"
             )
         prev_edges = set(int(e) for e in sol.edge_ids)
         flipped = set(int(e) for e in rec["flipped"])
@@ -372,19 +348,17 @@ def _replay_tail(
                 f"iteration {expected}: flipped edge set inconsistent with "
                 f"recorded solution"
             )
-        if new_sol.cost != int(rec["cost_after"]) or new_sol.delay != int(
-            rec["delay_after"]
-        ):
+        if (new_sol.cost, new_sol.delay) != (step.cost_after, step.delay_after):
             raise JournalError(
                 f"iteration {expected}: recorded totals "
-                f"({rec['cost_after']}, {rec['delay_after']}) != recomputed "
+                f"({step.cost_after}, {step.delay_after}) != recomputed "
                 f"({new_sol.cost}, {new_sol.delay})"
             )
         r_here = _r_value(D, cost_bound, sol)
-        if _enc_fraction(r_here) != rec.get("r_value"):
+        if r_here != step.r_value:
             raise JournalError(
                 f"iteration {expected}: Lemma-12 rate mismatch — journal "
-                f"says {rec.get('r_value')!r}, recomputed {r_here!r}"
+                f"says {step.r_value!r}, recomputed {r_here!r}"
             )
         if r_here is not None and prev_r is not None and r_here < prev_r:
             # With the exact optimum Lemma 12 guarantees monotonicity; a
@@ -405,10 +379,8 @@ def _replay_tail(
                 f"the live loop would have rejected"
             )
         seen.add(state)
-        records.append(_dec_record(rec))
-        _emit_iteration_event(rec, D)
-        obs.inc("cancellation.iterations")
-        obs.inc(f"cancellation.applied.{rec['cycle_type'].lower()}")
+        records.append(step)
+        step.emit(D)
         obs.inc("journal.resume.replayed_iterations")
         sol = new_sol
         if (sol.delay, sol.cost) < (best.delay, best.cost):

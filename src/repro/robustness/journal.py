@@ -33,8 +33,8 @@ Record kinds (payload schemas in docs/ROBUSTNESS.md):
     (:class:`~repro.errors.JournalError`) — old checkpoints can never be
     silently misparsed.
 ``prelude``
-    Pre-loop state (phase-1 solution, certified bounds, fallback paths)
-    so resume never re-runs the LP phases.
+    Pre-loop state — the phase-1 provider and paths, the certified lower
+    bound and the cost cap — so resume never re-runs the LP phases.
 ``iteration``
     One cancellation step, written *before* the flip is applied: the
     flipped edge set, cycle cost/delay/type, the Lemma-12 rate, the

@@ -513,6 +513,28 @@ class TestJournaledResolve:
         assert resumed.paths == sol.paths
         assert resumed.cost == sol.cost and resumed.delay == sol.delay
 
+    def test_journaled_resolve_refuses_a_budget(self, tmp_path):
+        """A journal replays only a deterministic solve, so a budgeted
+        journaled resolve is refused — before the session or the disk
+        changes — rather than run with its budget dropped on the cold path."""
+        from repro.robustness import SolveBudget
+
+        g, ids = _two_route()
+        state = start_online(g, ids["s"], ids["t"], 2, 16)
+        before = state_to_dict(state)
+        journal = tmp_path / "budgeted.journal"
+        with pytest.raises(InputError, match="takes no budget"):
+            resolve(
+                state,
+                InstanceDelta(
+                    ops=(DemandMove(delay_bound=state.solution.delay - 1),)
+                ),
+                budget=SolveBudget(max_iterations=0),
+                journal_path=journal,
+            )
+        assert state_to_dict(state) == before
+        assert not journal.exists()
+
 
 # ---------------------------------------------------------------------------
 # pinned corpus replay
