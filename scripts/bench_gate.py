@@ -35,6 +35,10 @@ hardware):
   warm churn replay are held to their ``mincost.augmentations`` counts, so
   a change that adds a min-cost k-flow to the solve (a second gate flow,
   a flow solved twice) fails in every mode.
+* **Certified refresh gate** — the E10 warm churn replay must read at
+  least one bound refresh from the session's lambda-face with no flow
+  (``online.lb_refresh.certified``), so a change that stops keeping or
+  patching the face fails in every mode.
 * **Ratio search gate** — the one-wrap ratio search
   (:func:`repro.core.auxlp.min_ratio_cycles`) is held to a deterministic
   ``search.ratio.potential_rounds`` ceiling on the E5 cancellation kernel,
@@ -99,7 +103,14 @@ FLOW_LP_CEILINGS = {
 MINCOST_AUGMENTATION_CEILINGS = {
     "e7_solver": 48,
     "e10_stress": 24,
-    "e10_online_warm": 66,
+    # 62 once a refresh whose face still brackets D runs no flow, plus 5%
+    # (65.1; a count above it is at least 66).
+    "e10_online_warm": 65,
+}
+# Deterministic floors of flow-free bound refreshes per kernel: the E10
+# warm replay reads 1 of its 4 refreshes from the session's lambda-face.
+CERTIFIED_REFRESH_FLOORS = {
+    "e10_online_warm": 1,
 }
 # Deterministic potential-pass ceilings per kernel: the E5 measurement of
 # the one-wrap search's Bellman–Ford rounds (1,683) plus 5%.
@@ -422,6 +433,17 @@ def run_gate(args) -> int:
                 failures.append(
                     f"{kname}: {counter} {values[kname]} exceeds the ceiling {ceiling}"
                 )
+    counter = "online.lb_refresh.certified"
+    values = {
+        name: counters.get(counter, 0) for name, counters in kernel_counters.items()
+    }
+    report["lb_refresh"] = {"certified": values, "floors": CERTIFIED_REFRESH_FLOORS}
+    for kname, floor in CERTIFIED_REFRESH_FLOORS.items():
+        print(f"{kname:18s} {counter} {values[kname]:7d} (floor {floor})")
+        if values[kname] < floor:
+            failures.append(
+                f"{kname}: {counter} {values[kname]} is below the floor {floor}"
+            )
 
     online = measure_online_resolve(repeats)
     print(
@@ -477,8 +499,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--quick",
         action="store_true",
         help="CI mode: fewer repeats, skip the hardware-dependent baseline "
-        "comparison (the online speedup ratio and the counter ceilings are "
-        "still enforced)",
+        "comparison (the online speedup ratio and the counter ceilings and "
+        "floors are still enforced)",
     )
     parser.add_argument(
         "--repeats", type=int, default=5, help="timing repeats per kernel"

@@ -46,7 +46,11 @@ from repro import obs
 from repro.core.instance import KRSPInstance, PathSet
 from repro.errors import InfeasibleInstanceError, SolverError
 from repro.flow.decompose import decompose_flow, strip_improving_cycles
-from repro.flow.mincost import lexicographic_weights, min_cost_k_flow
+from repro.flow.mincost import (
+    MinCostFlowResult,
+    lexicographic_weights,
+    min_cost_k_flow,
+)
 from repro.lp.basis import round_flow_score_monotone
 from repro.lp.flow_lp import solve_flow_lp
 from repro.robustness.budget import checkpoint
@@ -152,17 +156,18 @@ def _solution(inst: KRSPInstance, f: KFlow) -> PathSet:
 
 
 def _lex_flow(
-    inst: KRSPInstance, primary, secondary
-) -> tuple[np.ndarray, int, int]:
-    """The k-flow minimizing ``primary``, ties broken by least ``secondary``:
-    its edge mask and both exact totals (no path decomposition)."""
-    weight, big = lexicographic_weights(primary, secondary)
+    inst: KRSPInstance, primary, secondary, headroom: int = 1
+) -> tuple[MinCostFlowResult, int, int, int]:
+    """The k-flow minimizing ``primary``, ties broken by least ``secondary``
+    (at scale ``headroom * sum(secondary) + 1``): the flow, both exact
+    totals and the scale (no path decomposition)."""
+    weight, big = lexicographic_weights(primary, secondary, headroom)
     res = min_cost_k_flow(inst.graph, inst.s, inst.t, inst.k, weight=weight)
     if res is None:
         raise InfeasibleInstanceError(
             f"fewer than k={inst.k} edge-disjoint s-t paths exist"
         )
-    return (res.used, *divmod(res.weight, big))
+    return (res, *divmod(res.weight, big), big)
 
 
 def fastest_flow(inst: KRSPInstance) -> KFlow:
@@ -175,8 +180,8 @@ def fastest_flow(inst: KRSPInstance) -> KFlow:
     cheapest (the solver's cost cap), and it is the Lagrangian walk's far
     endpoint, so a caller that has it passes it to the provider.
     """
-    used, delay, cost = _lex_flow(inst, inst.graph.delay, inst.graph.cost)
-    return KFlow(used, cost, delay)
+    res, delay, cost, _ = _lex_flow(inst, inst.graph.delay, inst.graph.cost)
+    return KFlow(res.used, cost, delay)
 
 
 def cheapest_flow(inst: KRSPInstance) -> KFlow:
@@ -187,8 +192,8 @@ def cheapest_flow(inst: KRSPInstance) -> KFlow:
     rejects fewer than ``k`` paths through it. When it meets ``D`` it is
     optimal; otherwise it is the Lagrangian walk's near endpoint.
     """
-    used, cost, delay = _lex_flow(inst, inst.graph.cost, inst.graph.delay)
-    return KFlow(used, cost, delay)
+    res, cost, delay, _ = _lex_flow(inst, inst.graph.cost, inst.graph.delay)
+    return KFlow(res.used, cost, delay)
 
 
 def _larac(
@@ -406,19 +411,19 @@ def flow_lp_bound(
     Returns ``(C_LP, lambda*)``, both exact Fractions. With no hint (or
     ``0``) this is the walk of :func:`phase1_lagrangian_lemma5`. A hint
     ``lambda = p/q > 0`` is tested first with two lexicographic min-cost
-    k-flows under the blend ``q*c + p*d``: the least-delay and the
+    k-flows under the blend ``b = q*c + p*d``: the least-delay and the
     least-cost flow of the face of blend-minimal flows (on that face
     least cost is most delay). The subgradients of the dual ``L`` at
     ``lambda`` run from the first's delay minus ``D`` to the second's, so
     when the two delays bracket ``D``, ``lambda`` is still optimal and
-    ``L(lambda) = C_LP`` exactly. Otherwise the walk resumes from the
-    flow on the near side of ``D`` and the missing endpoint: the
-    min-delay flow when ``lambda`` is too small, the least-delay min-cost
-    flow when it is too large. Any hint gives the same bound; only the
-    number of flows differs. ``fastest`` and ``cheapest`` are the
-    instance's :func:`fastest_flow` and :func:`cheapest_flow` when the
-    caller already solved them; a walk that needs one takes it instead of
-    solving it again.
+    ``L(lambda) = (b* - p*D)/q = C_LP`` exactly, ``b*`` the least blend
+    total. Otherwise the walk resumes from the flow on the near side of
+    ``D`` and the missing endpoint: the min-delay flow when ``lambda`` is
+    too small, the least-delay min-cost flow when it is too large. Any
+    hint gives the same bound; only the number of flows differs.
+    ``fastest`` and ``cheapest`` are the instance's :func:`fastest_flow`
+    and :func:`cheapest_flow` when the caller already solved them; a walk
+    that needs one takes it instead of solving it again.
 
     Only edge masks and exact totals are used: no flow is decomposed into
     paths. Raises :class:`InfeasibleInstanceError` when fewer than ``k``
@@ -426,29 +431,206 @@ def flow_lp_bound(
     verdict of an infeasible flow LP. A walk cut off by
     :data:`LARAC_MAX_STEPS` returns its best dual value, still a certified
     lower bound, and counts ``phase1.larac.unconverged``.
+
+    The two face flows are kept, with their certificate, by
+    :func:`flow_lp_face`, so a caller that edits the instance can re-read
+    this answer from them (:meth:`LambdaFace.bound`) while they stay
+    optimal. Why that answer is exact:
+
+    * *Complementary slackness for lexicographic weights.* Each face flow
+      minimizes the single integer weight ``W = b*S + r`` (``r`` the
+      secondary, delay or cost), and its final successive-shortest-path
+      potentials ``pi`` prove it: the reduced weight ``W(e) + pi(tail) -
+      pi(head)`` is ``>= 0`` on every unused edge and ``<= 0`` on every
+      used one, so every residual cycle weighs ``>= 0`` and no k-flow
+      weighs less. An edit that keeps those signs on the edge it touches
+      keeps the proof for the edited instance.
+    * *Why ``W``-optimal is lexicographically optimal.* If every k-flow's
+      secondary total is below ``S`` (true while the instance's whole
+      secondary total is), a flow of smaller blend total weighs at least
+      ``S`` less in ``b*S`` and at most ``S - 1`` more in ``r``, so the
+      ``W``-optimum minimizes ``b`` first and ``r`` second. Its totals
+      ``(b, r)`` are then those of every lexicographic optimum, whatever
+      ``S`` they were computed at.
+    * *Why the scale headroom changes no total.* The face flows are built
+      at ``S = 2 * sum(r) + 1``, not ``sum(r) + 1``, so the instance's
+      secondary total may grow to twice its size before the proof lapses.
+      Both scales exceed every flow's secondary total, so both give
+      lexicographic optima, with the same ``(b, r)``; only those totals
+      are read, so the bound and the multiplier are those of the smaller
+      scale.
     """
+    bound, lam, _face = flow_lp_face(inst, multiplier, fastest, cheapest)
+    return bound, lam
+
+
+@dataclass
+class FaceFlow:
+    """One lexicographic k-flow of a :class:`LambdaFace` with its proof.
+
+    It minimizes the integer weight ``blend(e) * scale + secondary(e)``,
+    where ``secondary`` is delay for the least-delay flow and cost for the
+    least-cost one. ``blend`` and ``secondary`` are its exact totals,
+    ``potentials`` its final successive-shortest-path potentials and
+    ``secondary_sum`` the instance's total of ``secondary`` over all edges
+    (the flow is lexicographically optimal while it stays below
+    ``scale``).
+    """
+
+    used: np.ndarray
+    blend: int
+    secondary: int
+    scale: int
+    potentials: list[int]
+    secondary_sum: int
+
+    def admits(
+        self, used: bool, tail: int, head: int, blend: int, secondary: int
+    ) -> bool:
+        """Whether an edge ``tail -> head`` of these weights keeps the
+        flow's complementary slackness: reduced weight ``<= 0`` if the flow
+        uses it, ``>= 0`` if not."""
+        reduced = (
+            blend * self.scale
+            + secondary
+            + self.potentials[tail]
+            - self.potentials[head]
+        )
+        return reduced <= 0 if used else reduced >= 0
+
+
+@dataclass
+class LambdaFace:
+    """The two lexicographic flows with which :func:`flow_lp_bound`
+    confirmed ``multiplier = p/q``, kept so an edited instance can be
+    re-certified without a flow.
+
+    ``low`` minimizes the blend ``q*c + p*d``, then delay; ``high`` the
+    blend, then cost. :meth:`reweight`, :meth:`remove` and :meth:`add`
+    patch both with an edit *before* it is applied to the graph. They
+    return ``False`` when the edit removes an edge a flow uses or leaves
+    an edge without complementary slackness: the face is then stale and
+    must be dropped. They are O(1) apart from the edge-mask copy of a
+    removal or addition. A moved ``s``, ``t`` or
+    ``k`` voids the face; a moved ``D`` does not.
+    """
+
+    multiplier: Fraction
+    low: FaceFlow
+    high: FaceFlow
+
+    @property
+    def high_delay(self) -> int:
+        """The least-cost flow's delay, the face's largest."""
+        p, q = self.multiplier.numerator, self.multiplier.denominator
+        return (self.high.blend - q * self.high.secondary) // p
+
+    def bound(self, inst: KRSPInstance) -> Fraction | None:
+        """``flow_lp_bound(inst, self.multiplier)[0]`` with no flow, or
+        ``None`` when the face cannot answer.
+
+        Both flows must still be lexicographically optimal (each secondary
+        total of the instance below its scale), and their delays must
+        bracket ``D``: then the flows :func:`flow_lp_bound` would solve
+        have these flows' totals, so its answer is ``(b* - p*D)/q`` and
+        ``multiplier``. Takes :func:`flow_lp_bound`'s budget checkpoint.
+        """
+        low, high = self.low, self.high
+        if low.secondary_sum >= low.scale or high.secondary_sum >= high.scale:
+            return None
+        D = inst.delay_bound
+        if not low.secondary <= D <= self.high_delay:
+            return None
+        checkpoint("phase1.flow_lp_bound")
+        p, q = self.multiplier.numerator, self.multiplier.denominator
+        return Fraction(high.blend - p * D, q)
+
+    def reweight(self, g, e: int, cost: int, delay: int) -> bool:
+        """Patch edge ``e`` of ``g`` to ``(cost, delay)``; a used edge
+        shifts its flow's totals."""
+        p, q = self.multiplier.numerator, self.multiplier.denominator
+        tail, head = int(g.tail[e]), int(g.head[e])
+        old_cost, old_delay = int(g.cost[e]), int(g.delay[e])
+        shift = q * (cost - old_cost) + p * (delay - old_delay)
+        for f, old, new in (
+            (self.low, old_delay, delay),
+            (self.high, old_cost, cost),
+        ):
+            used = bool(f.used[e])
+            if not f.admits(used, tail, head, q * cost + p * delay, new):
+                return False
+            f.secondary_sum += new - old
+            if used:
+                f.blend += shift
+                f.secondary += new - old
+        return True
+
+    def remove(self, g, e: int) -> bool:
+        """Delete edge ``e`` of ``g``; only an edge neither flow uses."""
+        if self.low.used[e] or self.high.used[e]:
+            return False
+        for f, old in ((self.low, int(g.delay[e])), (self.high, int(g.cost[e]))):
+            f.used = np.delete(f.used, e)
+            f.secondary_sum -= old
+        return True
+
+    def add(self, tail: int, head: int, cost: int, delay: int) -> bool:
+        """Append an edge; both flows leave it unused."""
+        p, q = self.multiplier.numerator, self.multiplier.denominator
+        blend = q * cost + p * delay
+        for f, new in ((self.low, delay), (self.high, cost)):
+            if not f.admits(False, tail, head, blend, new):
+                return False
+        for f, new in ((self.low, delay), (self.high, cost)):
+            f.used = np.append(f.used, False)
+            f.secondary_sum += new
+        return True
+
+
+def _face_flow(
+    inst: KRSPInstance, blend: list[int], secondary: list[int]
+) -> FaceFlow:
+    """The k-flow of least ``blend`` total, ties broken by least
+    ``secondary``, at twice the usual scale headroom."""
+    res, b, r, scale = _lex_flow(inst, blend, secondary, headroom=2)
+    return FaceFlow(res.used, b, r, scale, res.potentials, sum(secondary))
+
+
+def flow_lp_face(
+    inst: KRSPInstance,
+    multiplier: Fraction | None = None,
+    fastest: KFlow | None = None,
+    cheapest: KFlow | None = None,
+) -> tuple[Fraction, Fraction, LambdaFace | None]:
+    """:func:`flow_lp_bound`, plus its two face flows when they confirmed
+    the hint (else ``None``): ``(C_LP, lambda*, face)``."""
     D = inst.delay_bound
     checkpoint("phase1.flow_lp_bound")
     if multiplier:
         costs, delays = inst.graph.cost.tolist(), inst.graph.delay.tolist()
         p, q = multiplier.numerator, multiplier.denominator
         blend = [q * c + p * d for c, d in zip(costs, delays)]
-        used, w, delay = _lex_flow(inst, blend, delays)
-        low = KFlow(used, (w - p * delay) // q, delay)
-        if low.delay > D:
+        low = _face_flow(inst, blend, delays)
+        if low.secondary > D:
             # lambda < lambda*: the whole face overshoots D.
-            walk = _bracket(inst, low, fastest or fastest_flow(inst))
+            walk = _bracket(
+                inst,
+                KFlow(low.used, (low.blend - p * low.secondary) // q, low.secondary),
+                fastest or fastest_flow(inst),
+            )
         else:
-            used, w, cost = _lex_flow(inst, blend, costs)
-            high = KFlow(used, cost, (w - q * cost) // p)
-            if high.delay >= D:
-                return Fraction(w - p * D, q), multiplier
+            face = LambdaFace(multiplier, low, _face_flow(inst, blend, costs))
+            high = face.high
+            if face.high_delay >= D:
+                return Fraction(high.blend - p * D, q), multiplier, face
             # lambda > lambda*: the whole face undershoots D.
-            walk = _cold_walk(inst, high, cheapest)
+            walk = _cold_walk(
+                inst, KFlow(high.used, high.secondary, face.high_delay), cheapest
+            )
     else:
         walk = _cold_walk(inst, fastest, cheapest)
     cheap, fast, bound, _ = walk
-    return bound, Fraction(0) if fast is None else _slope(cheap, fast)
+    return bound, Fraction(0) if fast is None else _slope(cheap, fast), None
 
 
 def _slope(cheap: KFlow, fast: KFlow) -> Fraction:

@@ -47,26 +47,37 @@ class MinCostFlowResult:
         Boolean edge mask forming the integral k-flow.
     weight:
         Total weight of the flow under the weight array supplied (exact).
+    potentials:
+        The final successive-shortest-path vertex potentials ``pi``
+        (Python ints). Every edge's reduced weight ``w(e) + pi(tail) -
+        pi(head)`` is ``>= 0`` where the flow leaves it unused and ``<= 0``
+        where it uses it: complementary slackness, a certificate that the
+        flow is of minimum weight.
     """
 
     used: np.ndarray
     weight: int
+    potentials: list[int]
 
 
 def lexicographic_weights(
-    primary: np.ndarray | Sequence[int], secondary: np.ndarray | Sequence[int]
+    primary: np.ndarray | Sequence[int],
+    secondary: np.ndarray | Sequence[int],
+    headroom: int = 1,
 ) -> tuple[list[int], int]:
     """Per-edge ``primary * big + secondary`` as Python ints, and ``big``.
 
-    ``big`` exceeds the total of ``secondary`` (nonnegative), so a flow
-    minimizing these weights minimizes ``primary`` first and ``secondary``
-    second, and its primary total is ``weight // big``. Sequences are taken
+    ``big = headroom * sum(secondary) + 1`` exceeds the total of
+    ``secondary`` (nonnegative), so a flow minimizing these weights
+    minimizes ``primary`` first and ``secondary`` second, and its primary
+    total is ``weight // big``. A ``headroom`` above 1 keeps that true
+    after the secondary total grows up to that factor. Sequences are taken
     as Python ints, so a primary beyond int64 (a Lagrangian blend) is exact.
     """
     prim, sec = (
         a.tolist() if isinstance(a, np.ndarray) else a for a in (primary, secondary)
     )
-    big = sum(sec) + 1
+    big = headroom * sum(sec) + 1
     return [p * big + q for p, q in zip(prim, sec)], big
 
 
@@ -127,7 +138,9 @@ def min_cost_k_flow(
         obs.add("mincost.augmentations", augmentations)
         obs.add("mincost.dijkstra_pops", pops)
 
-    return MinCostFlowResult(used=np.array(used, dtype=bool), weight=total)
+    return MinCostFlowResult(
+        used=np.array(used, dtype=bool), weight=total, potentials=pi
+    )
 
 
 def _augment_once(

@@ -26,6 +26,17 @@ as a cold solve. The engine maintains a certified cost lower bound ``LB``:
   usually confirm that multiplier is still optimal
   (``online.lb_refresh.multiplier_kept``); otherwise the walk resumes
   from them. No LP is solved.
+* those two flows are kept with their potentials as the session's
+  *face* (:class:`repro.core.phase1.LambdaFace`) and patched through
+  every later op with an exact integer check: an edge removal must miss
+  both flows, and an added or reweighted edge must keep complementary
+  slackness for both (reduced weight ``>= 0`` where unused, ``<= 0``
+  where used). While it holds, each flow stays lexicographically
+  optimal, so a refresh whose ``D`` the two flows' delays still bracket
+  is read from them with no flow at all (``online.lb_refresh.certified``)
+  and equals what the two flows would answer. A failed check, a moved
+  ``s``, ``t`` or ``k``, a cold, infeasible or raising resolve, or a walk
+  that moves the multiplier drops the face.
 
 After cancellation the engine checks ``cost <= 2 * LB``; a failed check
 refreshes ``LB`` once more and, if still failing, falls back to a cold
@@ -63,7 +74,12 @@ from repro._util.timer import Timer
 from repro.core.cancellation import DEFAULT_MAX_ITERATIONS, cancel_to_feasibility
 from repro.core.instance import KRSPInstance, PathSet
 from repro.core.krsp import KRSPSolution, assemble_solution, solve_krsp
-from repro.core.phase1 import DEFAULT_PROVIDER, PROVIDERS, flow_lp_bound
+from repro.core.phase1 import (
+    DEFAULT_PROVIDER,
+    PROVIDERS,
+    LambdaFace,
+    flow_lp_face,
+)
 from repro.errors import (
     BudgetExhaustedError,
     GraphError,
@@ -137,8 +153,11 @@ class OnlineState:
     an infeasible churn step; the next resolve then starts cold
     (``online.fallback.no_prior``) and re-arms the warm machinery.
     ``multiplier`` is the Lagrangian multiplier the last bound refresh
-    or cold solve ended on, the next refresh's warm start; it is derived
-    state and is not persisted.
+    or cold solve ended on, the next refresh's warm start. ``face`` holds
+    the two flows that last confirmed ``multiplier``, patched through
+    every delta since, while they provably stay optimal; a later refresh
+    reads the bound from it without a flow. Both are derived state and
+    are not persisted.
     """
 
     instance: KRSPInstance
@@ -147,6 +166,7 @@ class OnlineState:
     phase1: str = DEFAULT_PROVIDER
     last: ResolveInfo | None = None
     multiplier: Fraction | None = None
+    face: LambdaFace | None = None
 
 
 def start_online(
@@ -201,7 +221,9 @@ def resolve(
     ``None``) and later deltas may restore feasibility. Raises
     :class:`InputError`, before touching ``state``, when both ``budget``
     and ``journal_path`` are given: a journaled resolve must be
-    deterministic to be replayable.
+    deterministic to be replayable. For the same reason a journaled
+    resolve, warm or cold, runs unmetered: it masks an ambient
+    :func:`repro.robustness.budget.metered` budget.
     """
     if budget is not None and journal_path is not None:
         raise InputError(
@@ -213,6 +235,9 @@ def resolve(
     g = inst.graph
     old_bound = inst.delay_bound
     prev = state.solution
+    # The face follows the graph through every op below and comes back
+    # onto the session only for a warm resolve that returns.
+    face, state.face = state.face, None
 
     op_counts = {"reweight": 0, "remove": 0, "add": 0, "demand": 0}
     fallback: str | None = None if prev is not None else FALLBACK_NO_PRIOR
@@ -221,10 +246,11 @@ def resolve(
     softening = False
 
     def drop_warm(reason: str) -> None:
-        nonlocal fallback, sol_paths
+        nonlocal fallback, sol_paths, face
         if fallback is None:
             fallback = reason
         sol_paths = None
+        face = None
 
     for op in delta.ops:
         if isinstance(op, EdgeReweight):
@@ -236,6 +262,8 @@ def resolve(
                 raise InputError("reweight weights must be nonnegative")
             if op.cost < int(g.cost[e]) or op.delay < int(g.delay[e]):
                 softening = True
+            if face is not None and not face.reweight(g, e, op.cost, op.delay):
+                face = None
             g.cost[e] = op.cost
             g.delay[e] = op.delay
         elif isinstance(op, EdgeRemoval):
@@ -247,6 +275,8 @@ def resolve(
                 # The edge carries solution flow: deleting it breaks the
                 # k-flow, the canonical warm-start precondition failure.
                 drop_warm(FALLBACK_REMOVED_SOLUTION_EDGE)
+            if face is not None and not face.remove(g, e):
+                face = None
             id_map = g.remove_edges(np.array([e], dtype=np.int64))
             if sol_paths is not None:
                 sol_paths = [[int(id_map[x]) for x in p] for p in sol_paths]
@@ -258,6 +288,10 @@ def resolve(
                 )
             if op.cost < 0 or op.delay < 0:
                 raise InputError("add weights must be nonnegative")
+            if face is not None and not face.add(
+                op.tail, op.head, op.cost, op.delay
+            ):
+                face = None
             g.add_edges(
                 np.array([op.tail]),
                 np.array([op.head]),
@@ -327,24 +361,37 @@ def resolve(
     if fallback is not None:
         return _resolve_cold(state, reason=fallback, ops=op_counts, **kwargs)
     assert start is not None
+    state.face = face
     try:
         return _resolve_warm(
             state, start, softening=softening, ops=op_counts, **kwargs
         )
     except _WarmAbort as abort:
         return _resolve_cold(state, reason=abort.reason, ops=op_counts, **kwargs)
+    except BaseException:
+        state.face = None
+        raise
 
 
 def _flow_lb(state: OnlineState) -> Fraction:
     """Exact flow-LP optimum of the session's instance, warm-started from
-    (and updating) the session's multiplier.
+    (and updating) the session's multiplier and face.
 
-    An infeasible verdict certifies instance infeasibility — surrender the
-    warm path and let the cold solve's exact gate raise the canonical error.
+    A face that still brackets ``D`` answers without a flow
+    (``online.lb_refresh.certified``). An infeasible verdict certifies
+    instance infeasibility — surrender the warm path and let the cold
+    solve's exact gate raise the canonical error.
     """
+    face, state.face = state.face, None
+    if face is not None:
+        lb = face.bound(state.instance)
+        if lb is not None:
+            state.face = face
+            obs.inc("online.lb_refresh.certified")
+            return lb
     hint = state.multiplier
     try:
-        lb, state.multiplier = flow_lp_bound(state.instance, hint)
+        lb, state.multiplier, state.face = flow_lp_face(state.instance, hint)
     except InfeasibleInstanceError:
         raise _WarmAbort(FALLBACK_WARM_INFEASIBLE) from None
     if not hint:
@@ -369,7 +416,15 @@ def _resolve_warm(
     inst = state.instance
     g = inst.graph
     timer = Timer(span_prefix="online")
-    meter = budget.start() if budget is not None else current_meter()
+    # A journaled resolve masks any ambient meter: resume replays its
+    # journal unmetered, so it must have run unmetered (and resolve
+    # refuses an explicit budget with a journal).
+    if journal_path is not None:
+        meter = None
+    elif budget is not None:
+        meter = budget.start()
+    else:
+        meter = current_meter()
 
     hook = None
     result = None
@@ -501,6 +556,7 @@ def _resolve_cold(
     obs.inc("online.cold")
     obs.inc(f"online.fallback.{reason}")
     inst = state.instance
+    state.face = None
     info = ResolveInfo(mode="cold", fallback=reason, ops=ops, lb_refreshed=True)
     state.last = info
     try:

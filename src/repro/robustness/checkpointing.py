@@ -81,7 +81,7 @@ from repro.robustness.journal import (
     instance_config_hash,
 )
 from repro.robustness.anytime import STATUS_OK
-from repro.robustness.budget import current_meter
+from repro.robustness.budget import current_meter, metered
 from repro.robustness.signals import GracefulShutdown
 
 
@@ -256,7 +256,10 @@ def solve_checkpointed(
     ``resume_krsp(journal_path)`` later finishes the run.
 
     It runs no epsilon-scaling (scaled iterations are not replayable in
-    original units).
+    original units), and it runs unmetered: an ambient
+    :func:`repro.robustness.budget.metered` budget is masked, since
+    ``resume_krsp`` replays the journal unmetered and a budgeted run
+    would not replay to the same answer.
     """
     hook = CheckpointHook.open(
         journal_path,
@@ -269,18 +272,19 @@ def solve_checkpointed(
         fsync=fsync,
     )
     try:
-        sol = solve_krsp(
-            g,
-            s,
-            t,
-            k,
-            delay_bound,
-            phase1=phase1,
-            max_iterations=max_iterations,
-            opt_cost=opt_cost,
-            strict_monitor=strict_monitor,
-            checkpoint_hook=hook,
-        )
+        with metered(None):
+            sol = solve_krsp(
+                g,
+                s,
+                t,
+                k,
+                delay_bound,
+                phase1=phase1,
+                max_iterations=max_iterations,
+                opt_cost=opt_cost,
+                strict_monitor=strict_monitor,
+                checkpoint_hook=hook,
+            )
         hook.write_final(sol)
         return sol
     finally:

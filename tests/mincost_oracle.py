@@ -58,7 +58,7 @@ def numpy_min_cost_k_flow(
             return None  # max flow < k
 
     total = int(w[np.nonzero(used)[0]].sum())
-    return MinCostFlowResult(used=used, weight=total)
+    return MinCostFlowResult(used=used, weight=total, potentials=pi.tolist())
 
 
 def _augment_once(

@@ -33,6 +33,8 @@ from repro.graph.weights import anticorrelated_weights
 from repro.robustness import (
     JOURNAL_FORMAT_VERSION,
     JournalWriter,
+    SolveBudget,
+    metered,
     read_journal,
     resume_krsp,
     solve_checkpointed,
@@ -183,6 +185,24 @@ def test_resume_bit_identical_across_cuts(tmp_path, golden):
         assert _fp(sol) == golden["fp"], f"cut at byte {cut}"
         assert _trail(tel) == golden["trail"], f"cut at byte {cut}"
         assert sol.records == golden["records"], f"cut at byte {cut}"
+
+
+def test_journaled_solve_masks_an_ambient_meter(tmp_path, golden):
+    """A journaled solve runs unmetered inside an outer budget: resume
+    replays a journal unmetered, so a budgeted run it recorded would not
+    resume to its own answer."""
+    g, s, t, k, bound = _instance()
+    path = tmp_path / "metered.journal"
+    with metered(SolveBudget(max_iterations=1).start()):
+        sol = solve_checkpointed(
+            g, s, t, k, bound, journal_path=path, phase1="minsum",
+        )
+    assert _fp(sol) == golden["fp"]
+    raw = path.read_bytes()
+    final_start, _ = _record_frames(raw)[-1]
+    cut = tmp_path / "no-final.journal"
+    cut.write_bytes(raw[:final_start])
+    assert _fp(resume_krsp(cut)) == golden["fp"]
 
 
 def test_fresh_journal_holds_one_record_per_iteration(golden):

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from repro import obs
 from repro.core import solve_krsp
@@ -513,6 +513,31 @@ class TestJournaledResolve:
         assert resumed.paths == sol.paths
         assert resumed.cost == sol.cost and resumed.delay == sol.delay
 
+    @pytest.mark.parametrize(
+        "mode, delta",
+        [
+            ("warm", InstanceDelta(ops=(EdgeReweight(1, cost=1, delay=13),))),
+            ("cold", InstanceDelta(ops=(DemandMove(delay_bound=13),))),
+        ],
+        ids=["warm", "cold"],
+    )
+    def test_journaled_resolve_masks_an_ambient_meter(self, tmp_path, mode, delta):
+        """Inside an outer budget a journaled resolve, warm or cold, runs
+        unmetered, as resume replays it."""
+        from repro.robustness import SolveBudget, metered, resume_krsp
+
+        g, ids = _two_route()
+        plain = resolve(start_online(g, ids["s"], ids["t"], 2, 16), delta)
+        state = start_online(g, ids["s"], ids["t"], 2, 16)
+        journal = tmp_path / "metered.journal"
+        with metered(SolveBudget(max_iterations=0).start()):
+            sol = resolve(state, delta, journal_path=journal)
+        assert state.last.mode == mode
+        fp = (sol.paths, sol.cost, sol.delay, sol.status)
+        assert fp == (plain.paths, plain.cost, plain.delay, plain.status)
+        resumed = resume_krsp(journal)
+        assert (resumed.paths, resumed.cost, resumed.delay) == fp[:3]
+
     def test_journaled_resolve_refuses_a_budget(self, tmp_path):
         """A journal replays only a deterministic solve, so a budgeted
         journaled resolve is refused — before the session or the disk
@@ -610,7 +635,8 @@ class TestExactLowerBound:
         # Base 2 under churn seed 1 stays warm for 12 steps; its 11 bound
         # refreshes keep the carried multiplier 6 times (the first starts
         # from the cold solve's 5/12), run cold 3 times (multiplier 0) and
-        # resume the walk twice.
+        # resume the walk twice. Of the 6, 4 are read from the kept face
+        # with no flow and 2 are confirmed by two flows.
         inst = _feasible_base("er", [2])
         trace = generate_churn_trace(inst, 12, rng=1)
         state = start_online(inst.graph, inst.s, inst.t, inst.k, inst.delay_bound)
@@ -626,7 +652,8 @@ class TestExactLowerBound:
             snap = obs.snapshot()
         assert snap.get("lp.flow_lp.solves", 0) == 0
         assert snap["online.lb_refresh"] == 11
-        assert snap["online.lb_refresh.multiplier_kept"] == 6
+        assert snap["online.lb_refresh.multiplier_kept"] == 2
+        assert snap["online.lb_refresh.certified"] == 4
         assert snap["online.lb_refresh.cold"] == 3
         for (sol, lb, last), (_i, _d, g, s, t, k, bound) in zip(
             seen, replay_instances(trace)
@@ -687,6 +714,164 @@ class TestExactLowerBound:
         assert loaded.last.lb_refreshed and kept.last.lb_refreshed
         assert loaded.lower_bound == kept.lower_bound
         assert loaded.multiplier is not None
+
+
+# ---------------------------------------------------------------------------
+# the lambda-face certificate: bound refreshes with no flow
+# ---------------------------------------------------------------------------
+
+
+def _face_route():
+    """Three s-t routes, k = 1: cheap/slow ``s-a-t`` (cost 8, delay 10),
+    fast/dear ``s-b-t`` (10, 2) and dominated ``s-c-t`` (20, 20). For
+    ``2 <= D <= 10`` the flow LP mixes the first two at ``lambda* = 1/4``
+    (blend ``4c + d`` of 42 on both)."""
+    return from_edges(
+        [
+            ("s", "a", 4, 5),
+            ("a", "t", 4, 5),
+            ("s", "b", 5, 1),
+            ("b", "t", 5, 1),
+            ("s", "c", 10, 10),
+            ("c", "t", 10, 10),
+        ]
+    )
+
+
+def _refresh_matches_the_flows(state, hint):
+    """The session's refreshed bound and multiplier are what the flows
+    answer warm from ``hint``, and the bound is the cold flow-LP optimum."""
+    warm = flow_lp_bound(state.instance, hint)
+    assert (state.lower_bound, state.multiplier) == warm
+    assert state.lower_bound == flow_lp_bound(state.instance)[0]
+    assert isinstance(state.lower_bound, Fraction)
+
+
+class TestLambdaFace:
+    @staticmethod
+    def _session():
+        """A session holding a face: its first refresh (``D`` relaxed from
+        6 to 7) keeps ``lambda = 1/4`` with two flows. Its solution is
+        ``s-b-t``."""
+        g, ids = _face_route()
+        state = start_online(g, ids["s"], ids["t"], 1, 6)
+        assert state.multiplier == Fraction(1, 4) and state.face is None
+        assert state.solution.paths == [[2, 3]]
+        resolve(state, InstanceDelta(ops=(DemandMove(delay_bound=7),)))
+        assert state.face is not None
+        assert (state.lower_bound, state.multiplier) == (
+            Fraction(35, 4), Fraction(1, 4)
+        )
+        return state, ids
+
+    @staticmethod
+    def _refresh(state, *ops):
+        hint = state.multiplier
+        with obs.session():
+            resolve(state, InstanceDelta(ops=ops))
+            snap = obs.snapshot()
+        assert state.last.mode == "warm" and state.last.lb_refreshed
+        _refresh_matches_the_flows(state, hint)
+        return snap
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.integers(4, 16))
+    def test_every_refresh_equals_the_flows(self, seed, steps):
+        inst = _feasible_base("er", range(seed % 50, seed % 50 + 40))
+        trace = generate_churn_trace(inst, steps, rng=seed)
+        note(f"base seed {inst.seed}, churn seed {seed}, {steps} steps")
+        state = start_online(inst.graph, inst.s, inst.t, inst.k, inst.delay_bound)
+        for i, delta in enumerate(trace.deltas):
+            note(f"step {i}: {delta_to_dict(delta)}")
+            hint = state.multiplier
+            try:
+                resolve(state, delta)
+            except InfeasibleInstanceError:
+                assert state.face is None
+                continue
+            if state.last.mode == "warm" and state.last.lb_refreshed:
+                _refresh_matches_the_flows(state, hint)
+            if state.last.mode == "cold":
+                assert state.face is None
+            if state.face is not None:
+                assert state.face.multiplier == state.multiplier
+
+    def test_a_delta_inside_the_bracket_is_certified_without_a_flow(self):
+        state, _ids = self._session()
+        face = state.face
+        snap = self._refresh(state, DemandMove(delay_bound=9))
+        assert snap["online.lb_refresh.certified"] == 1
+        assert snap.get("mincost.augmentations", 0) == 0
+        assert snap.get("online.lb_refresh.multiplier_kept", 0) == 0
+        assert state.face is face
+        assert state.lower_bound == Fraction(33, 4)
+
+    def test_a_used_edge_removed_drops_the_face(self):
+        state, _ids = self._session()
+        # s-a carries the least-cost face flow but not the solution (s-b-t).
+        snap = self._refresh(state, EdgeRemoval(0), DemandMove(delay_bound=8))
+        assert snap.get("online.lb_refresh.certified", 0) == 0
+        assert state.multiplier == 0  # only s-b-t and s-c-t remain
+
+    def test_an_unused_edge_made_too_cheap_drops_the_face(self):
+        state, _ids = self._session()
+        snap = self._refresh(
+            state, EdgeReweight(4, cost=0, delay=0), EdgeReweight(5, cost=6, delay=6)
+        )
+        assert snap.get("online.lb_refresh.certified", 0) == 0
+        # The stale face would have said 35/4; s-c-t now fits D at cost 6.
+        assert (state.lower_bound, state.multiplier) == (6, 0)
+
+    def test_an_added_edge_with_a_negative_reduced_cost_drops_the_face(self):
+        state, ids = self._session()
+        snap = self._refresh(state, EdgeAddition(ids["s"], ids["t"], 6, 6))
+        assert snap.get("online.lb_refresh.certified", 0) == 0
+        assert (state.lower_bound, state.multiplier) == (6, 0)
+
+    def test_a_used_edge_made_dearer_drops_the_face(self):
+        state, _ids = self._session()
+        snap = self._refresh(
+            state, EdgeReweight(1, cost=5, delay=5), DemandMove(delay_bound=8)
+        )
+        assert snap.get("online.lb_refresh.certified", 0) == 0
+        # s-a-t now costs 9: lambda* falls to 1/8.
+        assert (state.lower_bound, state.multiplier) == (
+            Fraction(37, 4), Fraction(1, 8)
+        )
+
+    def test_a_secondary_total_reaching_its_scale_drops_the_face(self):
+        state, ids = self._session()
+        scale = state.face.low.scale
+        # An unused edge of huge delay keeps complementary slackness, but
+        # lifts the instance's delay total past the least-delay flow's scale.
+        snap = self._refresh(state, EdgeAddition(ids["c"], ids["t"], 0, scale))
+        assert snap.get("online.lb_refresh.certified", 0) == 0
+        assert snap["online.lb_refresh.multiplier_kept"] == 1
+        assert state.face is not None and state.face.low.scale > scale
+
+    def test_d_leaving_the_bracket_drops_the_face(self):
+        state, _ids = self._session()
+        snap = self._refresh(state, DemandMove(delay_bound=11))
+        assert snap.get("online.lb_refresh.certified", 0) == 0
+        assert (state.lower_bound, state.multiplier) == (8, 0)
+        assert state.face is None
+
+    def test_a_moved_demand_or_a_raising_resolve_drops_the_face(self):
+        state, _ids = self._session()
+        resolve(state, InstanceDelta(ops=(DemandMove(k=2, delay_bound=20),)))
+        assert state.last.fallback == FALLBACK_DEMAND_MOVED
+        assert state.face is None
+        state, _ids = self._session()
+        with pytest.raises(InputError):
+            resolve(state, InstanceDelta(ops=(EdgeReweight(99, cost=1, delay=1),)))
+        assert state.face is None
+
+    def test_the_face_is_not_persisted(self, tmp_path):
+        state, _ids = self._session()
+        path = tmp_path / "state.json"
+        save_state(path, state)
+        assert "face" not in json.loads(path.read_text())
+        assert load_state(path).face is None
 
 
 # ---------------------------------------------------------------------------
