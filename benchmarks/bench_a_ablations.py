@@ -1,11 +1,13 @@
 """A1/A2 — ablations of the design choices DESIGN.md section 5 calls out.
 
-A1: phase-1 provider (paper's LP rounding vs Lagrangian vs min-sum) —
-    same guarantees, different starting points; measures iterations saved.
+A1: phase-1 provider (every registered provider: Lemma 5 from the walk,
+    the paper's LP rounding, Lagrangian, min-sum) — same guarantees,
+    different starting points; measures iterations saved.
 A2: cycle-selection fallback — production ``type1_first`` vs the paper's
     literal Algorithm 3 step 3 rule; measures quality and failure rate.
 """
 
+from repro.core.phase1 import PROVIDERS
 from repro.eval.experiments import run_a1_phase1_ablation, run_a2_selection_ablation
 
 
@@ -20,7 +22,7 @@ def test_a1_phase1_ablation(benchmark, record_table):
         rows,
     )
     by_name = {r[0]: r for r in rows}
-    assert set(by_name) == {"lp_rounding", "lagrangian", "minsum"}
+    assert set(by_name) == set(PROVIDERS)
     for name, row in by_name.items():
         assert row[3] <= 2.0 + 1e-9  # beta_max within the proven bound
     # LP rounding starts nearest to feasibility: never more iterations than

@@ -201,10 +201,13 @@ guessed.
 {a1}
 ```
 
-All three providers land inside the proven bound; the paper's LP-rounding
-start needs the fewest cancellation iterations, min-sum the most (it starts
-cheapest and farthest from feasibility) — matching the role Lemma 5 plays
-in the paper's pipeline.
+Every registered provider runs, the default `lagrangian_lemma5` included,
+and all land inside the proven bound. The two Lemma 5 starts (the default,
+picked from the solver's walk, and the paper's LP rounding) need the
+fewest cancellation iterations, min-sum the most (it starts cheapest and
+farthest from feasibility) — matching the role Lemma 5 plays in the
+paper's pipeline. This table alone was regenerated later, on the same
+kind of host, once the A1 loop covered every provider.
 
 ### A2 — selection rule: production vs the literal Algorithm 3 step 3
 

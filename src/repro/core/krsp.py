@@ -2,16 +2,19 @@
 
 :func:`solve_krsp` wires the whole pipeline together:
 
-1. exact feasibility: the least-delay min-cost ``k``-flow, which is absent
-   when fewer than ``k`` disjoint paths exist and is optimal when it meets
-   ``D``; only when it misses ``D`` the min-delay ``k``-flow, which misses
-   ``D`` too when no solution exists;
+1. exact feasibility (:func:`repro.core.phase1.feasibility_gate`): the
+   least-delay min-cost ``k``-flow, which is absent when fewer than ``k``
+   disjoint paths exist and is optimal when it meets ``D``; only when it
+   misses ``D`` the min-delay ``k``-flow, which misses ``D`` too when no
+   solution exists;
 2. optional Theorem-4 epsilon-scaling (polynomial mode), its cost grid set
-   by the exact flow-LP optimum ``C_LP``;
-3. a phase-1 provider (Lemma 5 from exact Lagrangian k-flows by default —
-   the paper's Algorithm 1 step 1, without an LP), handed the flows step 1
-   solved;
-4. the bicameral cycle-cancellation loop (Algorithm 1 step 2), its cost
+   by the original instance's exact flow-LP optimum ``C_LP``;
+3. Lemma 5's walk (:func:`repro.core.phase1.lemma5_walk`), once, from the
+   flows step 1 solved: the certified lower bound ``C_LP`` and the
+   Lagrangian multiplier;
+4. a phase-1 provider, which picks the start from the walk (Lemma 5's
+   endpoint by default — the paper's Algorithm 1 step 1, without an LP);
+5. the bicameral cycle-cancellation loop (Algorithm 1 step 2), its cost
    cap the cost of the delay-feasible flow step 1 holds.
 
 The returned :class:`KRSPSolution` carries the paths, exact totals, the
@@ -41,21 +44,17 @@ from repro.core.phase1 import (
     PROVIDERS,
     KFlow,
     Phase1Result,
-    cheapest_flow,
-    fastest_flow,
+    Walk,
+    feasibility_gate,
     flow_lp_bound,
+    lemma5_walk,
 )
 from repro.core.scaling import scale_instance
-from repro.errors import (
-    BudgetExhaustedError,
-    GraphError,
-    InfeasibleInstanceError,
-    InputError,
-)
+from repro.errors import BudgetExhaustedError, InputError
 # Bound here for layer tracers (perfbench/tracer.py) that wrap this
 # module's flow calls. The solve calls neither: min_cost_k_flow is reached
-# through phase 1's cheapest_flow, which also rejects fewer than k paths,
-# and fastest_flow.
+# through phase 1's feasibility_gate, which also rejects fewer than k
+# paths, and lemma5_walk.
 from repro.flow.maxflow import has_k_disjoint_paths  # noqa: F401
 from repro.flow.mincost import min_cost_k_flow  # noqa: F401
 from repro.flow.decompose import decompose_flow, strip_improving_cycles
@@ -92,10 +91,10 @@ class KRSPSolution:
         ``delay <= D``. Always true without scaling; with scaling the
         guarantee is ``delay <= (1 + eps1) * D``.
     cost_lower_bound:
-        Certified ``<= C_OPT``: the flow-LP optimum ``C_LP``, exact
-        (:func:`repro.core.phase1.flow_lp_bound`). After scaling it is
-        the original instance's ``C_LP``. ``None`` only when a budget trip
-        came first.
+        Certified ``<= C_OPT``: the flow-LP optimum ``C_LP``, exact, from
+        the Lemma 5 walk (:func:`repro.core.phase1.lemma5_walk`). After
+        scaling it is the original instance's ``C_LP``. ``None`` only when
+        a budget trip came first.
     iterations:
         Cancellation steps taken.
     records:
@@ -123,10 +122,11 @@ class KRSPSolution:
         budget odometer). Always populated; most useful when
         ``status != "ok"``.
     multiplier:
-        Phase 1's Lagrangian multiplier
-        (:attr:`repro.core.phase1.Phase1Result.multiplier`), the warm
-        start of an online session's bound refreshes. ``None`` when the
-        provider has none or scaling ran. Not serialised.
+        The Lagrangian multiplier the Lemma 5 walk ended on
+        (:attr:`repro.core.phase1.Walk.multiplier`), whatever the
+        provider: the warm start of an online session's bound refreshes.
+        ``None`` when scaling ran or a budget trip came before the walk
+        ended. Not serialised.
     """
 
     paths: list[list[int]]
@@ -144,30 +144,6 @@ class KRSPSolution:
     status: str = STATUS_OK
     certificate: Certificate | None = None
     multiplier: Fraction | None = None
-
-
-def _feasibility_gate(inst: KRSPInstance) -> tuple[KFlow, KFlow | None]:
-    """Exact feasibility: ``(cheapest, fastest)``.
-
-    ``cheapest`` is the least-delay min-cost ``k``-flow; solving it raises
-    :class:`InfeasibleInstanceError` when fewer than ``k`` edge-disjoint
-    paths exist. When it meets ``D`` it is optimal, no min-delay flow is
-    needed and ``fastest`` is ``None``. Otherwise ``fastest`` is the
-    min-delay flow (cost tie-broken); if even it misses ``D`` no solution
-    exists. The delay-feasible flow the gate holds, ``fastest`` when
-    solved and else ``cheapest``, has a cost that bounds ``C_OPT`` from
-    above (equal to it when that flow is ``cheapest``).
-    """
-    cheapest = cheapest_flow(inst)
-    if cheapest.delay <= inst.delay_bound:
-        return cheapest, None
-    fastest = fastest_flow(inst)
-    if fastest.delay > inst.delay_bound:
-        raise InfeasibleInstanceError(
-            f"minimum achievable total delay {fastest.delay} "
-            f"exceeds the budget {inst.delay_bound}"
-        )
-    return cheapest, fastest
 
 
 def _flow_paths(g: DiGraph, s: int, t: int, f: KFlow) -> list[list[int]]:
@@ -298,13 +274,14 @@ def _solve_krsp_impl(
     with timer.section("feasibility"):
         # Infeasible instances must never reach the cancellation loop. The
         # gate's flows are handed on, so no flow is solved twice.
-        cheapest, fastest = _feasibility_gate(inst)
+        cheapest, fastest = feasibility_gate(inst)
 
     work_inst = inst
     work_cheapest, work_fastest = cheapest, fastest
     scaled = False
     lower_bound: Fraction | None = None
     c_lp: Fraction | None = None
+    walk: Walk | None = None
     p1: Phase1Result | None = None
     result: CancellationResult | None = None
     exhausted: str | None = None
@@ -322,38 +299,25 @@ def _solve_krsp_impl(
                     # C_OPT lower bound twice over: the solve reports it, and
                     # since C_OPT is an integer, ceil(C_LP) <= C_OPT is the
                     # cost-grid estimate C_hat.
-                    c_lp = flow_lp_bound(
-                        inst, cheapest=cheapest, fastest=fastest
-                    )[0]
+                    c_lp = _lp_bound(inst, lemma5_walk(inst, cheapest, fastest))
                     c_hat = max(1, math.ceil(c_lp))
                     theta = scale_instance(inst, eps1, eps2, c_hat)
                     work_inst = theta.instance
                     scaled = True
-                    # Phase 1 and the cost cap need the scaled instance's
+                    # The walk and the cost cap need the scaled instance's
                     # own flows. Floors keep every original solution
                     # feasible, so this gate never raises.
-                    work_cheapest, work_fastest = _feasibility_gate(work_inst)
-
-            with timer.section("phase1"):
-                provider = PROVIDERS[phase1]
-                p1 = provider(
-                    work_inst, cheapest=work_cheapest, fastest=work_fastest
-                )
+                    work_cheapest, work_fastest = feasibility_gate(work_inst)
 
             with timer.section("lower_bound"):
                 # The flow-LP optimum is the tightest certified lower bound
                 # phase 1 can offer; the tighter the bound, the earlier the
-                # bicameral sweep can stop (rate tests certify sooner). The
-                # Lagrangian providers usually end on it exactly; otherwise
-                # the exact walk finds it, from the provider's multiplier.
-                lower_bound = p1.cost_lower_bound
-                if not p1.bound_is_lp_optimum:
-                    lower_bound = flow_lp_bound(
-                        work_inst,
-                        p1.multiplier,
-                        cheapest=work_cheapest,
-                        fastest=work_fastest,
-                    )[0]
+                # bicameral sweep can stop (rate tests certify sooner).
+                walk = lemma5_walk(work_inst, work_cheapest, work_fastest)
+                lower_bound = _lp_bound(work_inst, walk)
+
+            with timer.section("phase1"):
+                p1 = PROVIDERS[phase1](work_inst, walk)
 
             with timer.section("cost_cap"):
                 # The delay-feasible flow the gate holds costs at least
@@ -408,8 +372,17 @@ def _solve_krsp_impl(
         scaled=scaled,
         timings=timer.as_dict(),
         usage=meter.usage() if meter is not None else None,
-        multiplier=p1.multiplier if p1 is not None and not scaled else None,
+        multiplier=walk.multiplier if walk is not None and not scaled else None,
     )
+
+
+def _lp_bound(inst: KRSPInstance, walk: Walk) -> Fraction:
+    """``C_LP`` of ``inst`` from its walk: the walk's bound, or for a walk
+    :data:`repro.core.phase1.LARAC_MAX_STEPS` cut off,
+    :func:`repro.core.phase1.flow_lp_bound` resumed from its multiplier."""
+    if walk.converged:
+        return walk.bound
+    return flow_lp_bound(inst, walk.multiplier)[0]
 
 
 def assemble_solution(

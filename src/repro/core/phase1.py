@@ -1,28 +1,33 @@
-"""Phase-1 providers: initial k disjoint paths for Algorithm 1.
+"""Phase 1 of Algorithm 1: Lemma 5's walk and the start a provider picks.
 
-The cancellation phase (phase 2) starts from *some* k disjoint paths and
-repairs the delay overshoot. The paper's Algorithm 1 step 1 uses the
-LP-rounding algorithm of [9] (Lemma 5); this module offers that guarantee
-two ways, plus two alternatives with different invariants, selectable by
-name:
+Algorithm 1 step 1 takes two things from Lemma 5: ``k`` disjoint paths to
+start the cancellation phase from, and the flow-LP optimum ``C_LP``, the
+certified lower bound on ``C_OPT``. Both come from one walk,
+:func:`lemma5_walk`. The flow LP has one side constraint over an integral
+polytope, so LARAC over exact min-cost k-flows reaches its optimum: the
+two flows at the optimal multiplier bracket ``D``, a mixture of them is an
+optimal flow-LP solution, and the exact dual value there equals ``C_LP``.
+No LP is solved. :func:`feasibility_gate` solves the walk's two endpoints
+and rejects an instance no k-flow can serve.
+
+:func:`repro.core.krsp.solve_krsp` runs the walk once per solve and hands
+it to a provider, which only picks the start. Providers by name:
 
 ``"lagrangian_lemma5"`` (default)
-    Lemma 5 from integer flows: the flow LP has one side constraint over
-    an integral polytope, so LARAC over exact min-cost k-flows reaches its
-    optimum. The two flows at the optimal multiplier bracket ``D``, and
-    the one with the smaller ``delay/D + cost/C_LP`` scores at most 2.
-    Its bound is the exact dual value, equal to ``C_LP``; no LP is solved.
+    The walk endpoint with the smaller ``delay/D + cost/C_LP``. The
+    mixture that meets ``D`` scores exactly 2 and the score is linear, so
+    the better endpoint scores at most 2 — Lemma 5's ``(alpha, 2 -
+    alpha)`` guarantee, checked here as a Fraction.
 
 ``"lp_rounding"`` (the paper's reference)
     Solve the delay-budgeted flow LP in HiGHS, round score-monotonically
-    (:mod:`repro.lp.basis`). Guarantee: ``delay/D + cost/C_LP <= 2``
-    — exactly Lemma 5's ``(alpha, 2 - alpha)`` trade-off. Also certifies
-    fractional infeasibility and yields the (float) ``C_LP`` lower bound,
-    which the solver replaces with :func:`flow_lp_bound`'s exact one.
+    (:mod:`repro.lp.basis`). Guarantee: ``delay/D + cost/C_LP <= 2``. Its
+    float ``C_LP`` normalises the rounding only; the solve's bound is the
+    walk's.
 
 ``"lagrangian"``
-    The same LARAC walk, returning the *cheap-but-slow* crossing flow,
-    which satisfies ``cost <= C_OPT`` outright (the invariant Lemma 11's
+    The walk's cheap endpoint: the cheap-but-slow crossing flow, which
+    satisfies ``cost <= C_OPT`` outright (the invariant Lemma 11's
     induction wants), or the feasible optimum when the min-cost flow
     already fits.
 
@@ -31,8 +36,11 @@ name:
     trivially; the delay overshoot can be anything. The baseline starting
     point that stresses phase 2 hardest.
 
-All providers raise :class:`InfeasibleInstanceError` when fewer than ``k``
-disjoint paths exist, and return a :class:`Phase1Result`.
+Every provider is called as ``provider(inst, walk=None)`` and returns a
+:class:`Phase1Result`; called without a walk, the Lagrangian providers
+run :func:`lemma5_walk` themselves. All providers raise
+:class:`InfeasibleInstanceError` when fewer than ``k`` disjoint paths
+exist.
 """
 
 from __future__ import annotations
@@ -58,32 +66,23 @@ from repro.robustness.budget import checkpoint
 
 @dataclass
 class Phase1Result:
-    """Initial solution plus the bounds phase 1 learned along the way.
+    """A provider's start and the lower bound on ``C_OPT`` it knows.
 
     Attributes
     ----------
     solution:
         The starting k disjoint paths.
     cost_lower_bound:
-        Certified lower bound on ``C_OPT`` (exact Fraction; from the flow
-        LP or the Lagrangian dual). ``None`` when the provider has none.
+        The walk's exact bound (the Lagrangian providers), the min-cost
+        flow's cost (``minsum``) or HiGHS's ``C_LP`` as a Fraction
+        (``lp_rounding``, an estimate). The solver reports the walk's.
     provider:
         Name of the provider that produced this result.
-    bound_is_lp_optimum:
-        ``cost_lower_bound`` is exactly the flow-LP optimum (a min-cost
-        flow that meets ``D``, or a converged Lagrangian dual), so the
-        caller needs no :func:`flow_lp_bound` call for its lower bound.
-    multiplier:
-        The Lagrangian multiplier the Lemma 5 walk ended on (``0`` when
-        the min-cost flow meets ``D``), as :func:`flow_lp_bound` returns
-        it; ``None`` from providers without that walk.
     """
 
     solution: PathSet
     cost_lower_bound: Fraction | None
     provider: str
-    bound_is_lp_optimum: bool = False
-    multiplier: Fraction | None = None
 
 
 def _paths_from_mask(inst: KRSPInstance, mask: np.ndarray) -> PathSet:
@@ -94,9 +93,7 @@ def _paths_from_mask(inst: KRSPInstance, mask: np.ndarray) -> PathSet:
 
 
 @obs.span("phase1.minsum")
-def phase1_minsum(
-    inst: KRSPInstance, cheapest: KFlow | None = None, fastest: KFlow | None = None
-) -> Phase1Result:
+def phase1_minsum(inst: KRSPInstance, walk: Walk | None = None) -> Phase1Result:
     """Min-cost k disjoint paths, delay-oblivious (cost <= C_OPT)."""
     res = min_cost_k_flow(inst.graph, inst.s, inst.t, inst.k, weight=inst.graph.cost)
     if res is None:
@@ -112,7 +109,7 @@ def phase1_minsum(
 
 @obs.span("phase1.lp_rounding")
 def phase1_lp_rounding(
-    inst: KRSPInstance, cheapest: KFlow | None = None, fastest: KFlow | None = None
+    inst: KRSPInstance, walk: Walk | None = None
 ) -> Phase1Result:
     """The paper's phase 1 ([9], Lemma 5): LP + score-monotone rounding."""
     g = inst.graph
@@ -126,13 +123,13 @@ def phase1_lp_rounding(
     mask = round_flow_score_monotone(g, lp.x, cost_norm, float(inst.delay_bound))
     sol = _paths_from_mask(inst, mask)
     # C_LP as an exact-ish Fraction (float from HiGHS; round to 1e-9 grid —
-    # an estimate only: the solver takes its bound from flow_lp_bound).
+    # an estimate only: the solver takes its bound from the walk).
     lb = Fraction(lp.cost).limit_denominator(10**9)
     return Phase1Result(solution=sol, cost_lower_bound=lb, provider="lp_rounding")
 
 
-#: Multiplier steps a Lagrangian provider takes before giving up on
-#: reaching the dual optimum (LARAC usually needs fewer than ten).
+#: Multiplier steps a Lagrangian walk takes before giving up on reaching
+#: the dual optimum (LARAC usually needs fewer than ten).
 LARAC_MAX_STEPS = 60
 
 
@@ -174,13 +171,18 @@ def fastest_flow(inst: KRSPInstance) -> KFlow:
     """The min-delay k-flow, cost tie-broken: one lexicographic
     ``(delay, cost)`` flow.
 
-    :func:`repro.core.krsp.solve_krsp` solves it only when
-    :func:`cheapest_flow` misses ``D``. Its delay is then the instance's
-    minimum (the feasibility gate), among min-delay flows it is the
-    cheapest (the solver's cost cap), and it is the Lagrangian walk's far
-    endpoint, so a caller that has it passes it to the provider.
+    It is solved only when :func:`cheapest_flow` misses ``D``, as the far
+    endpoint of :func:`lemma5_walk`. Its delay is the instance's minimum,
+    so when it misses ``D`` too no k-flow, integral or fractional, fits
+    and it raises :class:`InfeasibleInstanceError`. Among min-delay flows
+    it is the cheapest (the solver's cost cap).
     """
     res, delay, cost, _ = _lex_flow(inst, inst.graph.delay, inst.graph.cost)
+    if delay > inst.delay_bound:
+        raise InfeasibleInstanceError(
+            f"minimum achievable total delay {delay} "
+            f"exceeds the budget {inst.delay_bound}"
+        )
     return KFlow(res.used, cost, delay)
 
 
@@ -188,41 +190,105 @@ def cheapest_flow(inst: KRSPInstance) -> KFlow:
     """The min-cost k-flow of least delay: one lexicographic ``(cost,
     delay)`` flow, decomposed only if it becomes the start.
 
-    It is the first flow of :func:`repro.core.krsp.solve_krsp`, which
-    rejects fewer than ``k`` paths through it. When it meets ``D`` it is
-    optimal; otherwise it is the Lagrangian walk's near endpoint.
+    Solving it rejects fewer than ``k`` paths. When it meets ``D`` it is
+    optimal; otherwise it is :func:`lemma5_walk`'s near endpoint.
     """
     res, cost, delay, _ = _lex_flow(inst, inst.graph.cost, inst.graph.delay)
     return KFlow(res.used, cost, delay)
 
 
-def _larac(
-    inst: KRSPInstance,
-    cheap: KFlow,
-    fast: KFlow,
-    costs: list[int],
-    delays: list[int],
-) -> tuple[KFlow, KFlow, Fraction, bool]:
-    """LARAC over exact min-cost k-flows, from ``cheap`` (a min-cost flow,
-    delay above ``D``) and ``fast`` (the min-delay flow).
+def feasibility_gate(inst: KRSPInstance) -> tuple[KFlow, KFlow | None]:
+    """Exact feasibility: ``(cheapest, fastest)``.
+
+    ``cheapest`` is :func:`cheapest_flow`, which raises
+    :class:`InfeasibleInstanceError` when fewer than ``k`` edge-disjoint
+    paths exist. When it meets ``D`` it is optimal and ``fastest`` is
+    ``None``. Otherwise ``fastest`` is :func:`fastest_flow`, which raises
+    when no solution meets ``D``. The delay-feasible flow the gate holds,
+    ``fastest`` when solved and else ``cheapest``, costs at least
+    ``C_OPT`` (exactly ``C_OPT`` when it is ``cheapest``). Both are
+    :func:`lemma5_walk`'s endpoints.
+    """
+    cheapest = cheapest_flow(inst)
+    if cheapest.delay <= inst.delay_bound:
+        return cheapest, None
+    return cheapest, fastest_flow(inst)
+
+
+@dataclass
+class Walk:
+    """Lemma 5's walk over one instance, as :func:`lemma5_walk` ends it.
+
+    Attributes
+    ----------
+    cheap:
+        The near endpoint: a flow of delay above ``D``, optimal at
+        :attr:`multiplier`; or the least-delay min-cost flow when it meets
+        ``D`` and the walk never started.
+    fast:
+        The far endpoint, of delay at most ``D``; ``None`` when the walk
+        never started.
+    bound:
+        The best Lagrangian dual value seen, a certified lower bound on
+        ``C_OPT``; exactly ``C_LP`` when ``converged``.
+    converged:
+        Both endpoints are optimal at :attr:`multiplier`. ``False`` only
+        for a walk :data:`LARAC_MAX_STEPS` cut off.
+    """
+
+    cheap: KFlow
+    fast: KFlow | None
+    bound: Fraction
+    converged: bool
+
+    @property
+    def multiplier(self) -> Fraction:
+        """The multiplier at which the two endpoints tie (``0`` when the
+        walk never started)."""
+        if self.fast is None:
+            return Fraction(0)
+        return Fraction(
+            self.fast.cost - self.cheap.cost, self.cheap.delay - self.fast.delay
+        )
+
+
+def lemma5_walk(
+    inst: KRSPInstance, cheap: KFlow | None = None, fast: KFlow | None = None
+) -> Walk:
+    """LARAC over exact min-cost k-flows, from ``cheap`` to ``fast``.
+
+    ``cheap`` defaults to :func:`cheapest_flow`; when it meets ``D`` its
+    cost is the flow-LP optimum and the walk never starts. Otherwise
+    ``fast`` (default :func:`fastest_flow`, which raises
+    :class:`InfeasibleInstanceError` when it misses ``D``) is a flow of
+    delay at most ``D`` optimal at a multiplier at or above ``lambda*``.
+    A caller that solved either flow passes it, so no flow is solved
+    twice. A budget checkpoint comes first, so a zero deadline trips
+    before any flow.
 
     Each step takes ``lambda`` as the slope between the two endpoints and
     solves the k-flow minimizing the integral blend ``den*c + num*d``
     (built as Python ints, so no size of cost or delay can overflow). A
     flow strictly below both endpoints replaces the one on its side of
     ``D``; a flow that only ties them proves ``lambda`` optimal. The walk
-    gives up after :data:`LARAC_MAX_STEPS` flows.
+    gives up after :data:`LARAC_MAX_STEPS` flows and counts
+    ``phase1.larac.unconverged``.
 
-    Returns ``(cheap, fast, bound, converged)``. ``bound`` is the best
-    Lagrangian dual value ``L(lambda) = min_F c(F) + lambda (d(F) - D)``
-    seen (``L(0)`` is ``cheap.cost``), a certified lower bound on the flow
-    LP and hence on ``C_OPT``. ``converged`` says both endpoints are
-    optimal at the final ``lambda*``. With ``fast.delay <= D <
-    cheap.delay`` the mixture of the two that meets ``D`` exactly is then
-    a flow-LP solution of cost ``L(lambda*)``, so ``bound`` *equals* the
-    flow-LP optimum (one side constraint over an integral polytope).
+    The bound is the best Lagrangian dual value ``L(lambda) = min_F c(F)
+    + lambda (d(F) - D)`` seen (``L(0)`` is ``cheap.cost``), a certified
+    lower bound on the flow LP and hence on ``C_OPT``. Once both endpoints
+    are optimal at ``lambda*``, the mixture of the two that meets ``D``
+    exactly is a flow-LP solution of cost ``L(lambda*)``, so the bound
+    *equals* the flow-LP optimum (one side constraint over an integral
+    polytope).
     """
+    checkpoint("phase1.lemma5_walk")
     g, s, t, k, D = inst.graph, inst.s, inst.t, inst.k, inst.delay_bound
+    cheap = cheap or cheapest_flow(inst)
+    if cheap.delay <= D:
+        return Walk(cheap, None, Fraction(cheap.cost), True)
+    fast = fast or fastest_flow(inst)
+    costs, delays = g.cost.tolist(), g.delay.tolist()
     bound = Fraction(cheap.cost)
     converged = False
     steps = 0
@@ -258,46 +324,27 @@ def _larac(
                 cheap = mid
     finally:
         obs.add("phase1.larac.steps", steps)
-    return cheap, fast, bound, converged
+    if not converged:
+        obs.inc("phase1.larac.unconverged")
+    return Walk(cheap, fast, bound, converged)
 
 
 @obs.span("phase1.lagrangian")
 def phase1_lagrangian(
-    inst: KRSPInstance, cheapest: KFlow | None = None, fastest: KFlow | None = None
+    inst: KRSPInstance, walk: Walk | None = None
 ) -> Phase1Result:
-    """LARAC over k-flows: returns the cheap crossing flow (cost <= C_OPT).
+    """The walk's cheap endpoint (cost <= C_OPT).
 
-    If the min-cost extreme (:func:`cheapest_flow`) is already
-    delay-feasible it is optimal and returned directly. If even the
-    min-delay extreme violates the budget (an infeasible instance, which
-    :func:`repro.core.krsp.solve_krsp` rejects before phase 1), the walk
-    still returns its last crossing flow and phase 2 certifies
-    infeasibility. ``cheapest`` and ``fastest`` are the instance's
-    extremes when the caller already solved them.
+    It is the min-cost flow when that meets ``D``, and otherwise the cheap
+    crossing flow: its ``cost <= C_OPT`` invariant is what Lemma 11's
+    induction leans on, and phase 2 repairs the delay overshoot. Without
+    ``walk`` it runs :func:`lemma5_walk`.
     """
-    g, D = inst.graph, inst.delay_bound
-    cheap = cheapest or cheapest_flow(inst)
-    if cheap.delay <= D:
-        return Phase1Result(
-            solution=_solution(inst, cheap),
-            cost_lower_bound=Fraction(cheap.cost),
-            provider="lagrangian",
-            bound_is_lp_optimum=True,
-        )
-    costs, delays = g.cost.tolist(), g.delay.tolist()
-    cheap, fast, bound, converged = _larac(
-        inst, cheap, fastest or fastest_flow(inst), costs, delays
-    )
-    # Return the cheap crossing flow: its `cost <= C_OPT` invariant is what
-    # Lemma 11's induction leans on; phase 2 repairs the delay overshoot.
-    # Both `bound` (Lagrangian dual values) and `cheap.cost` (a
-    # delay-infeasible flow's cost never exceeds the feasible optimum's)
-    # lower-bound C_OPT; keep the tighter.
+    walk = walk or lemma5_walk(inst)
     return Phase1Result(
-        solution=_solution(inst, cheap),
-        cost_lower_bound=max(bound, Fraction(cheap.cost)),
+        solution=_solution(inst, walk.cheap),
+        cost_lower_bound=walk.bound,
         provider="lagrangian",
-        bound_is_lp_optimum=converged and fast.delay <= D,
     )
 
 
@@ -317,99 +364,43 @@ def lemma5_score(cost: int, delay: int, cost_norm: Fraction, delay_norm: int) ->
 
 @obs.span("phase1.lagrangian_lemma5")
 def phase1_lagrangian_lemma5(
-    inst: KRSPInstance, cheapest: KFlow | None = None, fastest: KFlow | None = None
+    inst: KRSPInstance, walk: Walk | None = None
 ) -> Phase1Result:
-    """Lemma 5's start and the exact flow-LP bound, from integer flows only.
+    """Lemma 5's start: the walk endpoint of least ``d/D + c/C_LP``.
 
-    The cheap extreme is the min-cost k-flow of least delay (lexicographic
-    ``(cost, delay)`` weights). If it meets ``D`` it is returned as is:
-    its cost is the flow-LP optimum. Otherwise LARAC runs to the optimal
-    multiplier, where the two endpoint flows bracket ``D`` and a mixture
-    of them is an optimal flow-LP solution. The score ``d/D + c/C_LP`` is
-    linear and the mixture scores exactly 2, so the better endpoint
-    scores at most 2 — Lemma 5's ``(alpha, 2 - alpha)`` guarantee, checked
-    here as a Fraction. The bound is the exact dual value
-    ``L(lambda*) = C_LP``. ``cheapest`` and ``fastest`` are the
-    instance's :func:`cheapest_flow` and :func:`fastest_flow` when the
-    caller already solved them.
+    A walk that never started has one endpoint, the min-cost flow that
+    meets ``D``. Otherwise the endpoints bracket ``D``; once the walk has
+    converged the mixture that meets ``D`` scores exactly 2, so the better
+    endpoint scores at most 2 — Lemma 5's ``(alpha, 2 - alpha)``
+    guarantee, checked here as a Fraction. Without ``walk`` it runs
+    :func:`lemma5_walk`.
     """
+    walk = walk or lemma5_walk(inst)
     D = inst.delay_bound
-    # A zero deadline must trip before the first flow, as it does before
-    # the LP in lp_rounding.
-    checkpoint("phase1.lagrangian_lemma5")
-    cheap, fast, bound, converged = _cold_walk(inst, fastest, cheapest)
-    if fast is None:
-        return Phase1Result(
-            solution=_solution(inst, cheap),
-            cost_lower_bound=bound,
-            provider="lagrangian_lemma5",
-            bound_is_lp_optimum=True,
-            multiplier=Fraction(0),
+    start = walk.cheap
+    if walk.fast is not None:
+        # Ties go to the delay-feasible endpoint, which needs no cancellation.
+        start = min(
+            (walk.fast, walk.cheap),
+            key=lambda f: lemma5_score(f.cost, f.delay, walk.bound, D),
         )
-
-    # Ties go to the delay-feasible endpoint, which needs no cancellation.
-    start = min(
-        (fast, cheap), key=lambda f: lemma5_score(f.cost, f.delay, bound, D)
-    )
-    if converged:
-        score = lemma5_score(start.cost, start.delay, bound, D)
-        if score > 2:
+        score = lemma5_score(start.cost, start.delay, walk.bound, D)
+        if walk.converged and score > 2:
             raise SolverError(f"Lemma 5 endpoint scores {score} > 2")
     return Phase1Result(
         solution=_solution(inst, start),
-        cost_lower_bound=bound,
+        cost_lower_bound=walk.bound,
         provider="lagrangian_lemma5",
-        bound_is_lp_optimum=converged,
-        multiplier=_slope(cheap, fast),
     )
-
-
-def _bracket(
-    inst: KRSPInstance, cheap: KFlow, fast: KFlow
-) -> tuple[KFlow, KFlow, Fraction, bool]:
-    """:func:`_larac` from ``cheap`` (delay above ``D``) and ``fast`` (the
-    min-delay flow or, warm, a flow optimal at a multiplier above
-    ``lambda*``), once ``fast`` is shown to meet ``D``. A walk cut off by
-    :data:`LARAC_MAX_STEPS` counts ``phase1.larac.unconverged``."""
-    if fast.delay > inst.delay_bound:
-        raise InfeasibleInstanceError(
-            f"minimum achievable total delay {fast.delay} exceeds the "
-            f"budget {inst.delay_bound} — no fractional k-flow fits it either"
-        )
-    g = inst.graph
-    cheap, fast, bound, converged = _larac(
-        inst, cheap, fast, g.cost.tolist(), g.delay.tolist()
-    )
-    if not converged:
-        obs.inc("phase1.larac.unconverged")
-    return cheap, fast, bound, converged
-
-
-def _cold_walk(
-    inst: KRSPInstance, fast: KFlow | None = None, cheap: KFlow | None = None
-) -> tuple[KFlow, KFlow | None, Fraction, bool]:
-    """The Lemma 5 walk from ``cheap`` to ``fast``, as :func:`_bracket`
-    returns it. When ``cheap`` meets ``D`` its cost is the flow-LP optimum
-    and the walk never starts: the returned ``fast`` is ``None``. They
-    default to the instance's :func:`cheapest_flow` and
-    :func:`fastest_flow`.
-    """
-    cheap = cheap or cheapest_flow(inst)
-    if cheap.delay <= inst.delay_bound:
-        return cheap, None, Fraction(cheap.cost), True
-    return _bracket(inst, cheap, fast or fastest_flow(inst))
 
 
 def flow_lp_bound(
-    inst: KRSPInstance,
-    multiplier: Fraction | None = None,
-    fastest: KFlow | None = None,
-    cheapest: KFlow | None = None,
+    inst: KRSPInstance, multiplier: Fraction | None = None
 ) -> tuple[Fraction, Fraction]:
     """Exact flow-LP optimum and an optimal multiplier, warm-started.
 
     Returns ``(C_LP, lambda*)``, both exact Fractions. With no hint (or
-    ``0``) this is the walk of :func:`phase1_lagrangian_lemma5`. A hint
+    ``0``) this is :func:`lemma5_walk` from scratch. A hint
     ``lambda = p/q > 0`` is tested first with two lexicographic min-cost
     k-flows under the blend ``b = q*c + p*d``: the least-delay and the
     least-cost flow of the face of blend-minimal flows (on that face
@@ -421,9 +412,6 @@ def flow_lp_bound(
     ``D`` and the missing endpoint: the min-delay flow when ``lambda`` is
     too small, the least-delay min-cost flow when it is too large. Any
     hint gives the same bound; only the number of flows differs.
-    ``fastest`` and ``cheapest`` are the instance's :func:`fastest_flow`
-    and :func:`cheapest_flow` when the caller already solved them; a walk
-    that needs one takes it instead of solving it again.
 
     Only edge masks and exact totals are used: no flow is decomposed into
     paths. Raises :class:`InfeasibleInstanceError` when fewer than ``k``
@@ -460,7 +448,7 @@ def flow_lp_bound(
       are read, so the bound and the multiplier are those of the smaller
       scale.
     """
-    bound, lam, _face = flow_lp_face(inst, multiplier, fastest, cheapest)
+    bound, lam, _face = flow_lp_face(inst, multiplier)
     return bound, lam
 
 
@@ -597,26 +585,24 @@ def _face_flow(
 
 
 def flow_lp_face(
-    inst: KRSPInstance,
-    multiplier: Fraction | None = None,
-    fastest: KFlow | None = None,
-    cheapest: KFlow | None = None,
+    inst: KRSPInstance, multiplier: Fraction | None = None
 ) -> tuple[Fraction, Fraction, LambdaFace | None]:
     """:func:`flow_lp_bound`, plus its two face flows when they confirmed
     the hint (else ``None``): ``(C_LP, lambda*, face)``."""
     D = inst.delay_bound
     checkpoint("phase1.flow_lp_bound")
-    if multiplier:
+    if not multiplier:
+        walk = lemma5_walk(inst)
+    else:
         costs, delays = inst.graph.cost.tolist(), inst.graph.delay.tolist()
         p, q = multiplier.numerator, multiplier.denominator
         blend = [q * c + p * d for c, d in zip(costs, delays)]
         low = _face_flow(inst, blend, delays)
         if low.secondary > D:
             # lambda < lambda*: the whole face overshoots D.
-            walk = _bracket(
+            walk = lemma5_walk(
                 inst,
                 KFlow(low.used, (low.blend - p * low.secondary) // q, low.secondary),
-                fastest or fastest_flow(inst),
             )
         else:
             face = LambdaFace(multiplier, low, _face_flow(inst, blend, costs))
@@ -624,18 +610,10 @@ def flow_lp_face(
             if face.high_delay >= D:
                 return Fraction(high.blend - p * D, q), multiplier, face
             # lambda > lambda*: the whole face undershoots D.
-            walk = _cold_walk(
-                inst, KFlow(high.used, high.secondary, face.high_delay), cheapest
+            walk = lemma5_walk(
+                inst, fast=KFlow(high.used, high.secondary, face.high_delay)
             )
-    else:
-        walk = _cold_walk(inst, fastest, cheapest)
-    cheap, fast, bound, _ = walk
-    return bound, Fraction(0) if fast is None else _slope(cheap, fast), None
-
-
-def _slope(cheap: KFlow, fast: KFlow) -> Fraction:
-    """The multiplier at which the walk's two endpoints tie."""
-    return Fraction(fast.cost - cheap.cost, cheap.delay - fast.delay)
+    return walk.bound, walk.multiplier, None
 
 
 #: Provider every solve entry point uses unless told otherwise.
@@ -649,10 +627,9 @@ PROVIDERS = {
 }
 """Name registry used by :func:`repro.core.krsp.solve_krsp`.
 
-Every provider is called as ``provider(inst, cheapest=None, fastest=None)``.
-``cheapest`` and ``fastest`` are the instance's :func:`cheapest_flow` and
-:func:`fastest_flow` when the caller already solved them (``fastest`` is
-solved only when ``cheapest`` misses ``D``); the Lagrangian providers take
-them as their walk's endpoints instead of solving them again, the others
-have no use for them. ``PROVIDERS[name](inst)`` solves what it needs.
+Every provider is called as ``provider(inst, walk=None)``, ``walk`` the
+instance's :func:`lemma5_walk` when the caller already ran it. The
+Lagrangian providers pick their start from it (running it themselves
+without one); the others have no use for it. ``PROVIDERS[name](inst)``
+solves what it needs.
 """

@@ -131,15 +131,18 @@ def verify_solution(
         try:
             c_lp = flow_lp_bound(KRSPInstance(g, s, t, k, delay_bound))[0]
         except InfeasibleInstanceError:
-            issues.append(
-                "flow LP infeasible although a solution was presented — "
-                "inconsistent instance data"
-            )
+            # Paths that miss D prove nothing about the flow LP or C_OPT:
+            # only delay-feasible ones contradict these bounds.
+            if feasible:
+                issues.append(
+                    "flow LP infeasible although a solution was presented — "
+                    "inconsistent instance data"
+                )
         else:
             lb = float(c_lp)
             if c_lp > 0:
                 ratio_ub = float(cost / c_lp)
-                if cost < c_lp:
+                if feasible and cost < c_lp:
                     issues.append(
                         "claimed cost beats the LP lower bound — "
                         "inconsistent instance data"
@@ -149,14 +152,15 @@ def verify_solution(
 
         exact = solve_krsp_milp(g, s, t, k, delay_bound, time_limit=milp_time_limit)
         if exact is None:
-            issues.append(
-                "MILP reports infeasible although a solution was presented"
-            )
+            if feasible:
+                issues.append(
+                    "MILP reports infeasible although a solution was presented"
+                )
         else:
             opt_cost = exact.cost
             if opt_cost > 0:
                 exact_ratio = cost / opt_cost
-            if cost < opt_cost:
+            if feasible and cost < opt_cost:
                 issues.append("claimed cost beats the proven optimum")
 
     return VerificationReport(

@@ -30,7 +30,7 @@ from repro.core import (
 from repro.core.auxgraph import build_aux_paper, build_aux_shifted
 from repro.core.instance import KRSPInstance
 from repro.core.residual import apply_residual_cycles
-from repro.core.phase1 import phase1_lp_rounding, phase1_minsum
+from repro.core.phase1 import PROVIDERS, phase1_lp_rounding, phase1_minsum
 from repro.errors import ReproError
 from repro.eval.metrics import summarize
 from repro.eval.workloads import (
@@ -698,16 +698,17 @@ EXPERIMENTS = {
 def run_a1_phase1_ablation(n_instances: int = 8):
     """A1: how much does the phase-1 provider matter?
 
-    Same cancellation phase, three different starting points. Expected
-    shape: lp_rounding starts closest to feasible (fewest iterations);
-    minsum starts cheapest (most iterations, same final guarantee).
+    Same cancellation phase, one start per provider. Expected shape: the
+    Lemma 5 starts (lagrangian_lemma5, lp_rounding) are closest to
+    feasible (fewest iterations); minsum starts cheapest (most iterations,
+    same final guarantee).
     """
     headers = ["provider", "solved", "beta_mean", "beta_max", "iters_mean", "sec_mean"]
     instances = list(
         er_anticorrelated(n=11, n_instances=n_instances, seed=1010, tightness=0.7)
     )
     rows = []
-    for provider in ("lp_rounding", "lagrangian", "minsum"):
+    for provider in sorted(PROVIDERS):
         betas, iters, secs = [], [], []
         for inst in instances:
             exact = solve_krsp_milp(

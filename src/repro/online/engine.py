@@ -22,7 +22,7 @@ as a cold solve. The engine maintains a certified cost lower bound ``LB``:
   LP's exact optimum (``online.lb_refresh``) by
   :func:`repro.core.phase1.flow_lp_bound`, warm-started from the
   session's last Lagrangian multiplier (at first, the one the cold
-  solve's phase 1 ended on). Two integer min-cost flows
+  solve's Lemma 5 walk ended on). Two integer min-cost flows
   usually confirm that multiplier is still optimal
   (``online.lb_refresh.multiplier_kept``); otherwise the walk resumes
   from them. No LP is solved.

@@ -8,7 +8,6 @@ from repro.paths.bellman_ford import (
 )
 from repro.paths.rsp_exact import rsp_exact
 from repro.paths.rsp_fptas import rsp_fptas
-from repro.paths.larac import LaracResult, larac
 from repro.paths.yen import yen_k_shortest_paths
 from repro.paths.karp_mmc import minimum_mean_cycle
 
@@ -21,8 +20,6 @@ __all__ = [
     "negative_cycle_value",
     "rsp_exact",
     "rsp_fptas",
-    "LaracResult",
-    "larac",
     "yen_k_shortest_paths",
     "minimum_mean_cycle",
 ]

@@ -12,6 +12,7 @@ from repro.core.phase1 import (
     PROVIDERS,
     flow_lp_bound,
     lemma5_score,
+    lemma5_walk,
     phase1_lagrangian,
     phase1_lagrangian_lemma5,
     phase1_lp_rounding,
@@ -22,10 +23,17 @@ from repro.core.krsp import solve_krsp
 from repro.errors import BudgetExhaustedError, InfeasibleInstanceError, InputError
 from repro.eval.workloads import interesting_delay_bound
 from repro.flow import decompose_flow, lexicographic_weights, min_cost_k_flow
-from repro.graph import from_edges, gnp_digraph, anticorrelated_weights, parallel_chains
+from repro.graph import (
+    anticorrelated_weights,
+    from_edges,
+    gnp_digraph,
+    parallel_chains,
+    uniform_weights,
+)
 from repro.graph.validate import check_disjoint_paths
 from repro.lp.milp import solve_krsp_milp
 from repro.lp.flow_lp import solve_flow_lp
+from repro.paths import rsp_exact
 from repro.robustness.budget import SolveBudget, metered
 
 
@@ -132,6 +140,12 @@ class TestLagrangian:
         with pytest.raises(InfeasibleInstanceError):
             phase1_lagrangian(KRSPInstance(g, s, t, 3, 100))
 
+    def test_min_delay_over_budget_raises(self):
+        g, s, t = parallel_chains(2, 2)
+        g = g.with_weights(np.ones(g.m, np.int64), np.full(g.m, 50, np.int64))
+        with pytest.raises(InfeasibleInstanceError, match="minimum achievable"):
+            phase1_lagrangian(KRSPInstance(g, s, t, 2, 100))
+
 
 def lemma5_instance(seed, n, p, tightness, slack=0):
     """An anticorrelated G(n, p) instance with ``D`` in the binding band
@@ -161,7 +175,7 @@ class TestLagrangianLemma5:
         lp = solve_flow_lp(inst.graph, inst.s, inst.t, inst.k, inst.delay_bound)
         note(f"D={inst.delay_bound} bound={res.cost_lower_bound} HiGHS={lp.cost!r}")
         assert isinstance(res.cost_lower_bound, Fraction)
-        assert res.bound_is_lp_optimum
+        assert lemma5_walk(inst).converged
         assert abs(float(res.cost_lower_bound) - lp.cost) <= 1e-6
 
     @settings(max_examples=40)
@@ -222,20 +236,29 @@ class TestLagrangianLemma5:
 
     def test_unconverged_walk_runs_no_flow_lp(self, monkeypatch):
         # Seed 11 needs two multiplier steps; a cap of one leaves the walk
-        # short of lambda*, so the solver takes flow_lp_bound's best dual
-        # value, warm from the walk's multiplier. No flow LP is solved.
+        # short of lambda*, so the solver resumes it with flow_lp_bound,
+        # warm from the walk's multiplier. No flow LP is solved, and the
+        # solve's flows are the walk's and the resumed bound's, no more.
         g = anticorrelated_weights(gnp_digraph(10, 0.4, rng=11), rng=12)
         monkeypatch.setattr(phase1_module, "LARAC_MAX_STEPS", 1)
         inst = KRSPInstance(g, 0, 9, 2, 40)
-        p1 = phase1_lagrangian_lemma5(inst)
-        assert not p1.bound_is_lp_optimum
-        with obs.session():
-            sol = solve_krsp(g, 0, 9, 2, 40)
-            snap = obs.snapshot()
-        assert snap.get("phase1.larac.unconverged") >= 1
+
+        def augmentations(fn, *args):
+            with obs.session() as tel:
+                out = fn(*args)
+            return out, tel.counters
+
+        walk, walked = augmentations(lemma5_walk, inst)
+        assert not walk.converged
+        (bound, _), resumed = augmentations(flow_lp_bound, inst, walk.multiplier)
+        sol, snap = augmentations(solve_krsp, g, 0, 9, 2, 40)
+        assert snap["phase1.larac.unconverged"] == 1
         assert snap.get("lp.flow_lp.solves", 0) == 0
-        assert sol.cost_lower_bound == flow_lp_bound(inst, p1.multiplier)[0]
-        assert sol.cost_lower_bound > p1.cost_lower_bound
+        assert snap["mincost.augmentations"] == (
+            walked["mincost.augmentations"] + resumed["mincost.augmentations"]
+        )
+        assert sol.multiplier == walk.multiplier
+        assert sol.cost_lower_bound == bound > walk.bound
         lp = solve_flow_lp(g, 0, 9, 2, 40)
         assert float(sol.cost_lower_bound) <= lp.cost + 1e-6
         assert sol.cost_lower_bound <= solve_krsp_milp(g, 0, 9, 2, 40).cost
@@ -261,6 +284,29 @@ class TestLagrangianLemma5:
         with metered(meter), pytest.raises(BudgetExhaustedError):
             phase1_lagrangian_lemma5(inst)
         assert flows == []
+
+
+@settings(derandomize=True, max_examples=30)
+@given(seed=st.integers(0, 10_000), D=st.integers(5, 40))
+def test_k1_walk_brackets_the_rsp_optimum(seed, D):
+    # At k = 1 the walk is single-path LARAC: its bound is at most the
+    # exact RSP optimum, and its far endpoint is a delay-feasible path
+    # costing at least that much.
+    g = uniform_weights(gnp_digraph(9, 0.3, rng=seed), (1, 20), (1, 20), rng=seed + 7)
+    exact = rsp_exact(g, 0, 8, D)
+    inst = KRSPInstance(g, 0, 8, 1, D)
+    note(f"seed={seed} D={D} OPT={exact and exact[0]}")
+    try:
+        walk = lemma5_walk(inst)
+    except InfeasibleInstanceError:
+        assert exact is None
+        return
+    assert exact is not None
+    fast = walk.fast or walk.cheap
+    note(f"bound={walk.bound} fast=({fast.cost}, {fast.delay})")
+    assert walk.converged
+    assert fast.delay <= D
+    assert walk.bound <= exact[0] <= fast.cost
 
 
 def _bound_or_none(inst, hint):

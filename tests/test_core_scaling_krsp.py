@@ -1,15 +1,19 @@
 """Tests for Theorem 4 scaling and the end-to-end solve_krsp facade."""
 
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from repro import obs
 from repro.core import (
     KRSPInstance,
     mapped_back_delay_bound,
     scale_instance,
     solve_krsp,
 )
+from repro.core.phase1 import feasibility_gate, lemma5_walk
 from repro.errors import GraphError, InfeasibleInstanceError
 from repro.graph import (
     from_edges,
@@ -115,43 +119,27 @@ class TestSolveKrsp:
             checked += 1
         assert checked >= 3
 
-    def test_scaled_bound_reuses_the_gate_flow(self, monkeypatch):
-        """The scaled branch's C_LP walk takes the feasibility gate's
-        cheapest and min-delay flows instead of solving them again: two
-        min-cost k-flows fewer than a walk that solves its own, same
-        answer and bound."""
-        import repro.core.krsp as krsp_mod
-        import repro.core.phase1 as phase1_mod
-        from repro.flow import min_cost_k_flow
-
+    def test_scaled_bound_reuses_the_gate_flow(self):
+        """A scaled solve runs each instance's walk once, from that
+        instance's gate flows: every min-cost k-flow it solves is a gate
+        flow or a walk step, so none is solved twice."""
         g, s, t, D = make(12, n=10, D=60)
-        cheapest = min_cost_k_flow(g, s, t, 2, weight=g.cost)
-        assert g.delay_of(np.flatnonzero(cheapest.used)) > D  # walk needed
-
-        calls = []
-        real_flow = phase1_mod.min_cost_k_flow
-
-        def counting_flow(*args, **kwargs):
-            calls.append(1)
-            return real_flow(*args, **kwargs)
-
-        monkeypatch.setattr(phase1_mod, "min_cost_k_flow", counting_flow)
-
-        def solve():
-            calls.clear()
-            sol = solve_krsp(g, s, t, 2, D, eps=0.5)
-            return len(calls), (sol.paths, sol.cost, sol.delay, sol.cost_lower_bound)
-
-        reused, answer = solve()
-        real_bound = krsp_mod.flow_lp_bound
-        monkeypatch.setattr(
-            krsp_mod,
-            "flow_lp_bound",
-            lambda inst, multiplier=None, **flows: real_bound(inst, multiplier),
+        inst = KRSPInstance(g, s, t, 2, D)
+        cheapest, fastest = feasibility_gate(inst)
+        assert fastest is not None  # the original instance's walk runs
+        c_lp = lemma5_walk(inst, cheapest, fastest).bound
+        scaled = scale_instance(inst, 0.5, 0.5, max(1, math.ceil(c_lp))).instance
+        gate_flows = sum(
+            f is not None
+            for f in (cheapest, fastest, *feasibility_gate(scaled))
         )
-        resolved, answer_resolved = solve()
-        assert reused == resolved - 2
-        assert answer == answer_resolved
+        with obs.session() as tel:
+            sol = solve_krsp(g, s, t, 2, D, eps=0.5)
+        steps = tel.counters["phase1.larac.steps"]
+        assert steps > 0
+        # Every k-flow takes exactly k = 2 augmentations.
+        assert tel.counters["mincost.augmentations"] == 2 * (gate_flows + steps)
+        assert sol.cost_lower_bound == c_lp
 
     def test_structural_infeasibility(self):
         g, s, t = parallel_chains(2, 3)

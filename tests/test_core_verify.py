@@ -158,11 +158,22 @@ class TestExactLowerBound:
         assert snap.get("lp.flow_lp.solves", 0) == 0
 
     def test_lp_infeasible_instance_is_an_issue_not_an_exception(self):
+        # Paths that miss D do not prove the flow LP feasible: the only
+        # issue is the missed budget, not inconsistent instance data.
         g, ids = from_edges([("s", "t", 1, 9)])
         rep = verify_solution(g, ids["s"], ids["t"], 1, 5, [[0]])
         assert rep.valid and not rep.delay_feasible
         assert rep.cost_lower_bound is None
-        assert any("flow LP infeasible" in i for i in rep.issues)
+        assert rep.issues == ["delay 9 exceeds budget 5"]
+
+    def test_paths_missing_d_may_cost_less_than_the_bounds(self):
+        # C_LP = 29/9 and OPT = 5 bound delay-feasible solutions only; the
+        # cheap route misses D = 5 and costs 1 without contradicting them.
+        g, ids = from_edges([("s", "t", 1, 10), ("s", "t", 5, 1)])
+        rep = verify_solution(g, ids["s"], ids["t"], 1, 5, [[0]], use_milp=True)
+        assert rep.cost_lower_bound == pytest.approx(29 / 9)
+        assert rep.opt_cost == 5
+        assert rep.issues == ["delay 10 exceeds budget 5"]
 
 
 class TestOracleCrossChecks:

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from repro.core import solve_krsp
-from repro.errors import InfeasibleInstanceError, GraphError, SolverError
+from repro.errors import InfeasibleInstanceError, GraphError
 from repro.flow import max_flow_value, min_cost_k_flow
 from repro.graph import from_edges, gnp_digraph, parallel_chains, uniform_weights
 from repro.graph.validate import check_disjoint_paths
 from repro.lp.milp import solve_krsp_milp
 from repro.paths import rsp_exact
-from repro.paths.larac import larac
 
 
 class TestZeroWeights:
@@ -107,9 +106,6 @@ class TestExtremeMagnitudes:
         # The exact flow-LP optimum: the mixture of both routes with delay D.
         theta = Fraction(D - 1, a + b - 1)
         assert sol.cost_lower_bound == theta * (a + b) + (1 - theta) * (a + b + 1)
-        # Single-path LARAC searches int64 Dijkstra: it refuses the blend.
-        with pytest.raises(SolverError, match="int64"):
-            larac(g, s, t, D)
 
     def test_rsp_dp_guard_against_huge_budget(self):
         """The DP allocates (D+1) x n — callers must scale first; verify a

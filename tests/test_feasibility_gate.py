@@ -62,7 +62,7 @@ def test_cheapest_flow_that_misses_solves_no_flow_twice():
 
 
 def test_zero_deadline_degrades_to_the_cheapest_flow():
-    """Phase 1 still trips a zero deadline before its first metered step;
+    """The walk still trips a zero deadline before its first metered step;
     the answer is the delay-feasible flow the gate holds."""
     g, s, t, k = _diamond()
     sol = solve_krsp(g, s, t, k, 20, budget=SolveBudget(deadline_seconds=0))
@@ -70,6 +70,20 @@ def test_zero_deadline_degrades_to_the_cheapest_flow():
     assert sol.certificate.exhausted_reason == "deadline"
     assert sol.delay <= 20
     assert sol.cost == 6
+
+
+@pytest.mark.parametrize("provider", sorted(PROVIDERS))
+def test_zero_deadline_trips_before_any_provider_start(provider):
+    """The walk runs before every provider and checks the budget first,
+    so a zero deadline leaves no start: the answer is the gate's min-delay
+    flow b + direct, though a + direct at (12, 11) also meets D."""
+    g, s, t, k = _diamond()
+    sol = solve_krsp(
+        g, s, t, k, 11, phase1=provider, budget=SolveBudget(deadline_seconds=0)
+    )
+    assert sol.status == "budget_exhausted"
+    assert (sol.cost, sol.delay) == (14, 3)
+    assert sol.cost_lower_bound is None and sol.multiplier is None
 
 
 @pytest.mark.parametrize("provider", sorted(PROVIDERS))

@@ -687,6 +687,22 @@ class TestExactLowerBound:
         cold, _ = flow_lp_bound(state.instance)
         assert state.lower_bound == cold
 
+    def test_a_minsum_session_refreshes_warm_too(self):
+        # Every provider's solve reports the walk's multiplier, so a
+        # session opened with minsum starts warm as well.
+        inst = _feasible_base("er", [2])
+        trace = generate_churn_trace(inst, 12, rng=1)
+        state = start_online(
+            inst.graph, inst.s, inst.t, inst.k, inst.delay_bound, phase1="minsum"
+        )
+        assert state.multiplier == Fraction(5, 12)
+        with obs.session():
+            resolve(state, trace.deltas[0])
+            snap = obs.snapshot()
+        assert state.last.lb_refreshed
+        assert snap.get("online.lb_refresh.cold", 0) == 0
+        assert state.lower_bound == flow_lp_bound(state.instance)[0]
+
     def test_multiplier_is_not_persisted(self, tmp_path):
         state, trace = self._session()
         for delta in trace.deltas[:4]:

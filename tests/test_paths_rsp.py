@@ -1,7 +1,7 @@
-"""Tests for exact RSP DP, the RSP FPTAS, and LARAC.
+"""Tests for the exact RSP DP and the RSP FPTAS.
 
 The exact DP is validated against brute-force path enumeration; the FPTAS
-and LARAC are then validated against the exact DP.
+is then validated against the exact DP.
 """
 
 import itertools
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import from_edges, gnp_digraph, to_networkx, uniform_weights
 from repro.graph.validate import is_path
-from repro.paths import larac, rsp_exact, rsp_fptas
+from repro.paths import rsp_exact, rsp_fptas
 
 
 def brute_force_rsp(g, s, t, D):
@@ -128,37 +128,3 @@ class TestFptas:
                 assert g.delay_of(path) <= D  # strict feasibility
                 assert cost_a <= (1 + eps) * exact[0] + 1e-9
 
-
-class TestLarac:
-    def test_optimal_when_min_cost_feasible(self, diamond):
-        g, ids = diamond
-        res = larac(g, ids["s"], ids["t"], 20)
-        assert res.cost == 2 and res.lower_bound == 2
-
-    def test_feasible_and_bounded(self, diamond):
-        g, ids = diamond
-        res = larac(g, ids["s"], ids["t"], 2)
-        assert res.delay <= 2
-        assert res.lower_bound <= res.cost
-
-    def test_infeasible_returns_none(self, diamond):
-        g, ids = diamond
-        assert larac(g, ids["s"], ids["t"], 1) is None
-
-    def test_s_equals_t(self, diamond):
-        g, ids = diamond
-        res = larac(g, ids["s"], ids["s"], 0)
-        assert res.cost == 0 and res.path == []
-
-    def test_lower_bound_below_opt_random(self):
-        for seed in range(30):
-            g = uniform_weights(
-                gnp_digraph(9, 0.3, rng=seed), (1, 20), (1, 20), rng=seed + 7
-            )
-            D = 25
-            exact = rsp_exact(g, 0, 8, D)
-            res = larac(g, 0, 8, D)
-            assert (exact is None) == (res is None)
-            if exact is not None:
-                assert res.delay <= D
-                assert res.lower_bound <= exact[0] <= res.cost
